@@ -31,9 +31,9 @@
 //! kernels always run granules live in order.
 
 use bk_gpu::occupancy::{self, BlockResources};
-use bk_gpu::{BlockLog, BlockSim, GpuPool, KernelCost, ReplayOutcome};
+use bk_gpu::{BlockLog, BlockSim, DeviceSpec, GpuPool, KernelCost, ReplayOutcome};
 use bk_host::{cpu, CpuCost, DmaDirection};
-use bk_runtime::ctx::{ComputeCtx, LoggedMem};
+use bk_runtime::ctx::{ComputeCtx, DevMemory, LiveMem, LoggedMem};
 use bk_runtime::graph::{buffered_graph, serial_graph, Executor, ShardPolicy};
 use bk_runtime::kernel::{chunk_slice, partition_ranges, DeviceEffects, LaunchConfig};
 use bk_runtime::layout::ChunkLayout;
@@ -139,113 +139,66 @@ struct WindowCtx<'a> {
     total_threads: u32,
 }
 
-/// One granule against a write log over a read snapshot of device memory.
-/// The window's staging buffer is shared between granules, so it is *not*
-/// registered private: lane stores hit the log's overlay (read-your-writes)
-/// and replay as blind writes — granules write disjoint lane slices, so
-/// granule-order replay reproduces the sequential schedule exactly.
-fn granule_logged(
-    machine: &Machine,
+/// One granule's kernel body, with device effects going to `mem`: a write
+/// log over a read snapshot of device memory, or live device memory
+/// (sequential-capability kernels and conflict re-execution).
+///
+/// A logged granule's log leaves the window's staging buffer unregistered:
+/// the buffer is shared between granules, so lane stores hit the log's
+/// overlay (read-your-writes) and replay as blind writes — granules write
+/// disjoint lane slices, so granule-order replay reproduces the sequential
+/// schedule exactly.
+fn granule<M: DevMemory>(
+    gpu: &DeviceSpec,
+    mut mem: M,
     w: &WindowCtx<'_>,
     granule: usize,
     sim: &mut BlockSim,
 ) -> GranuleComputed {
-    let mut cost = KernelCost::new();
-    let mut log = BlockLog::new(&machine.gmem);
-    let mut bytes_read = 0u64;
-    let mut bytes_written = 0u64;
-    let mut any_writes = false;
-    let mut aux_dirty = 0u64;
-    {
-        let log = &mut log;
-        let bytes_read = &mut bytes_read;
-        let bytes_written = &mut bytes_written;
-        let any_writes = &mut any_writes;
-        let aux_dirty = &mut aux_dirty;
-        bk_gpu::run_block_lanes(machine.gpu(), sim, w.tpb, &mut cost, |lane, trace| {
-            let g_lane = granule * w.tpb as usize + lane;
-            let r = &w.ranges[g_lane];
-            let range = w.window.start + r.start..w.window.start + r.end;
-            let mut ctx = ComputeCtx::staged_on(
-                LoggedMem(&mut *log),
-                w.data_buf,
-                w.layout,
-                g_lane,
-                g_lane as u32,
-                w.total_threads,
-                trace,
-            )
-            .set_aux(w.aux);
-            w.kernel.process(&mut ctx, range);
-            *bytes_read += ctx.stream_bytes_read;
-            *bytes_written += ctx.stream_bytes_written;
-            *any_writes |= ctx.primary_bytes_written > 0;
-            *aux_dirty |= ctx.aux_written_mask;
-        });
-    }
-    GranuleComputed {
-        cost,
-        bytes_read,
-        bytes_written,
-        any_writes,
-        aux_dirty,
-        effects: Some(log.finish()),
-    }
+    let mut out = GranuleComputed {
+        cost: KernelCost::new(),
+        bytes_read: 0,
+        bytes_written: 0,
+        any_writes: false,
+        aux_dirty: 0,
+        effects: None,
+    };
+    bk_gpu::run_block_lanes(gpu, sim, w.tpb, &mut out.cost, |lane, trace| {
+        let g_lane = granule * w.tpb as usize + lane;
+        let r = &w.ranges[g_lane];
+        let range = w.window.start + r.start..w.window.start + r.end;
+        let mut ctx = ComputeCtx::staged_on(
+            &mut mem,
+            w.data_buf,
+            w.layout,
+            g_lane,
+            g_lane as u32,
+            w.total_threads,
+            trace,
+        )
+        .set_aux(w.aux);
+        w.kernel.process(&mut ctx, range);
+        out.bytes_read += ctx.stream_bytes_read;
+        out.bytes_written += ctx.stream_bytes_written;
+        out.any_writes |= ctx.primary_bytes_written > 0;
+        out.aux_dirty |= ctx.aux_written_mask;
+    });
+    out
 }
 
-/// One granule directly against live device memory (sequential-capability
-/// kernels and conflict re-execution).
+/// [`granule`] against live device memory.
 fn granule_live(
     machine: &mut Machine,
     w: &WindowCtx<'_>,
-    granule: usize,
+    g: usize,
     sim: &mut BlockSim,
 ) -> GranuleComputed {
-    let mut cost = KernelCost::new();
-    let mut bytes_read = 0u64;
-    let mut bytes_written = 0u64;
-    let mut any_writes = false;
-    let mut aux_dirty = 0u64;
-    {
-        let Machine {
-            ref devices,
-            ref mut gmem,
-            ..
-        } = *machine;
-        let gpu = &devices[0];
-        let bytes_read = &mut bytes_read;
-        let bytes_written = &mut bytes_written;
-        let any_writes = &mut any_writes;
-        let aux_dirty = &mut aux_dirty;
-        bk_gpu::run_block_lanes(gpu, sim, w.tpb, &mut cost, |lane, trace| {
-            let g_lane = granule * w.tpb as usize + lane;
-            let r = &w.ranges[g_lane];
-            let range = w.window.start + r.start..w.window.start + r.end;
-            let mut ctx = ComputeCtx::staged(
-                &mut *gmem,
-                w.data_buf,
-                w.layout,
-                g_lane,
-                g_lane as u32,
-                w.total_threads,
-                trace,
-            )
-            .set_aux(w.aux);
-            w.kernel.process(&mut ctx, range);
-            *bytes_read += ctx.stream_bytes_read;
-            *bytes_written += ctx.stream_bytes_written;
-            *any_writes |= ctx.primary_bytes_written > 0;
-            *aux_dirty |= ctx.aux_written_mask;
-        });
-    }
-    GranuleComputed {
-        cost,
-        bytes_read,
-        bytes_written,
-        any_writes,
-        aux_dirty,
-        effects: None,
-    }
+    let Machine {
+        ref devices,
+        ref mut gmem,
+        ..
+    } = *machine;
+    granule(&devices[0], LiveMem(gmem), w, g, sim)
 }
 
 fn run_buffered(
@@ -364,7 +317,16 @@ fn run_buffered(
             // Pure phase: simulate every granule against the snapshot.
             let shared: &Machine = machine;
             let run = |cell: &mut GranuleCell<'_>| {
-                cell.computed = Some(granule_logged(shared, &wctx, cell.granule, cell.sim));
+                let mut log = BlockLog::new(&shared.gmem);
+                let mut done = granule(
+                    shared.gpu(),
+                    LoggedMem(&mut log),
+                    &wctx,
+                    cell.granule,
+                    cell.sim,
+                );
+                done.effects = Some(log.finish());
+                cell.computed = Some(done);
             };
             if parallel && cells.len() > 1 {
                 cells.par_iter_mut().for_each(run);

@@ -2,12 +2,15 @@
 //! steady state: `WarpAligner::align`, and the pooled addr-gen → assembly
 //! path (`AddrGenScratch` recording/commit plus `assemble`).
 //!
-//! The counting allocator is process-global, so the tests serialize on a
-//! mutex — a concurrently running test would pollute the count.
+//! The counting allocator is process-global. It counts only allocations
+//! made on a thread while that thread's `ARMED` flag is set, so the test
+//! harness's own threads never pollute a measurement; the tests still
+//! serialize on a mutex so two measurements never share the counter.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use bk_gpu::trace::{AccessClass, AccessKind, ThreadTrace, WarpAligner};
 use bk_gpu::{DeviceSpec, WARP_SIZE};
@@ -17,9 +20,37 @@ struct CountingAlloc;
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static SERIAL: Mutex<()> = Mutex::new(());
 
+thread_local! {
+    // Const-initialised and drop-free, so reading it from inside the
+    // allocator never allocates and never fails.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count() {
+    if ARMED.with(Cell::get) {
+        ALLOCS.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// Serialize measurements. A test that failed while holding the lock left
+/// no state behind (the counter is only read as a difference), so a
+/// poisoned lock is recovered rather than failing every later test.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Heap allocations `f` performs on the calling thread.
+fn allocations_in(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.load(Ordering::SeqCst);
+    ARMED.with(|a| a.set(true));
+    f();
+    ARMED.with(|a| a.set(false));
+    ALLOCS.load(Ordering::SeqCst) - before
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
+        count();
         System.alloc(layout)
     }
 
@@ -28,7 +59,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -38,7 +69,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
 fn align_performs_no_heap_allocations_in_steady_state() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     let spec = DeviceSpec::test_tiny();
     // A mixed workload touching every scratch path: stream reads/writes,
     // device atomics, multi-segment accesses, and shared-memory conflicts.
@@ -77,18 +108,13 @@ fn align_performs_no_heap_allocations_in_steady_state() {
         let _ = aligner.align(&spec, &lanes);
     }
 
-    let before = ALLOCS.load(Ordering::SeqCst);
-    for _ in 0..100 {
-        let c = aligner.align(&spec, &lanes);
-        assert!(c.mem.transactions > 0);
-    }
-    let after = ALLOCS.load(Ordering::SeqCst);
-    assert_eq!(
-        after - before,
-        0,
-        "align allocated {} times in steady state",
-        after - before
-    );
+    let allocs = allocations_in(|| {
+        for _ in 0..100 {
+            let c = aligner.align(&spec, &lanes);
+            assert!(c.mem.transactions > 0);
+        }
+    });
+    assert_eq!(allocs, 0, "align allocated {allocs} times in steady state");
 }
 
 mod chunk {
@@ -160,9 +186,7 @@ mod chunk {
 /// times — every vector cycles through the `StreamPool` freelists.
 #[test]
 fn addr_gen_and_assembly_second_chunk_allocates_nothing() {
-    use std::sync::atomic::Ordering;
-
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     let (machine, streams) = chunk::setup();
     let cfg = bk_runtime::BigKernelConfig::default();
     let mut scratch = bk_runtime::AddrGenScratch::new();
@@ -181,24 +205,22 @@ fn addr_gen_and_assembly_second_chunk_allocates_nothing() {
     assert_eq!(first, chunk::LANES * chunk::LANE_SPAN);
 
     // Second chunk onward: bit-for-bit the same work, zero allocations.
-    let before = ALLOCS.load(Ordering::SeqCst);
-    for _ in 0..10 {
-        let g = chunk::run_chunk(
-            &mut scratch,
-            &machine,
-            &streams,
-            &mut cache,
-            &cfg,
-            &mut trace,
-        );
-        assert_eq!(g, first);
-    }
-    let after = ALLOCS.load(Ordering::SeqCst);
+    let allocs = allocations_in(|| {
+        for _ in 0..10 {
+            let g = chunk::run_chunk(
+                &mut scratch,
+                &machine,
+                &streams,
+                &mut cache,
+                &cfg,
+                &mut trace,
+            );
+            assert_eq!(g, first);
+        }
+    });
     assert_eq!(
-        after - before,
-        0,
-        "addr-gen + assembly allocated {} times in steady state",
-        after - before
+        allocs, 0,
+        "addr-gen + assembly allocated {allocs} times in steady state"
     );
 }
 
@@ -211,7 +233,7 @@ fn addr_gen_and_assembly_second_chunk_allocates_nothing() {
 fn record_schedule_without_tracing_allocates_nothing() {
     use bk_simcore::{pipeline, SimTime, StageDef};
 
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     let spec = pipeline::PipelineSpec::new(vec![
         StageDef {
             name: "transfer",
@@ -231,16 +253,14 @@ fn record_schedule_without_tracing_allocates_nothing() {
     // and initializes the thread-local sink (lazily created on first use).
     bk_obs::record_schedule(&sched, 0, SimTime::ZERO, &mut metrics);
 
-    let before = ALLOCS.load(Ordering::SeqCst);
-    for wave in 1..=100 {
-        bk_obs::record_schedule(&sched, wave * 8, SimTime::ZERO, &mut metrics);
-    }
-    let after = ALLOCS.load(Ordering::SeqCst);
+    let allocs = allocations_in(|| {
+        for wave in 1..=100 {
+            bk_obs::record_schedule(&sched, wave * 8, SimTime::ZERO, &mut metrics);
+        }
+    });
     assert_eq!(
-        after - before,
-        0,
-        "untraced record_schedule allocated {} times in steady state",
-        after - before
+        allocs, 0,
+        "untraced record_schedule allocated {allocs} times in steady state"
     );
     assert_eq!(metrics.hist("hist.span.transfer").unwrap().count(), 8 * 101);
 }

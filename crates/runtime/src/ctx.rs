@@ -263,6 +263,43 @@ pub trait DevMemory {
     fn atomic_cas_u64(&mut self, b: DevBufId, offset: u64, expected: u64, new: u64) -> u64;
 }
 
+/// A borrowed backend is a backend: one block's lanes each take a short
+/// `&mut` reborrow of the block's memory (live or logged) for their context.
+impl<M: DevMemory> DevMemory for &mut M {
+    #[inline]
+    fn vaddr(&self, b: DevBufId, offset: u64) -> u64 {
+        (**self).vaddr(b, offset)
+    }
+    #[inline]
+    fn stream_load(&mut self, b: DevBufId, offset: u64, width: u32) -> u64 {
+        (**self).stream_load(b, offset, width)
+    }
+    #[inline]
+    fn stream_store(&mut self, b: DevBufId, offset: u64, width: u32, value: u64) {
+        (**self).stream_store(b, offset, width, value)
+    }
+    #[inline]
+    fn dev_load(&mut self, b: DevBufId, offset: u64, width: u32) -> u64 {
+        (**self).dev_load(b, offset, width)
+    }
+    #[inline]
+    fn dev_store(&mut self, b: DevBufId, offset: u64, width: u32, value: u64) {
+        (**self).dev_store(b, offset, width, value)
+    }
+    #[inline]
+    fn atomic_add_u32(&mut self, b: DevBufId, offset: u64, v: u32) -> u32 {
+        (**self).atomic_add_u32(b, offset, v)
+    }
+    #[inline]
+    fn atomic_add_u64(&mut self, b: DevBufId, offset: u64, v: u64) -> u64 {
+        (**self).atomic_add_u64(b, offset, v)
+    }
+    #[inline]
+    fn atomic_cas_u64(&mut self, b: DevBufId, offset: u64, expected: u64, new: u64) -> u64 {
+        (**self).atomic_cas_u64(b, offset, expected, new)
+    }
+}
+
 /// Direct execution against live global memory (sequential path, baselines,
 /// and conflict re-execution).
 pub struct LiveMem<'a>(pub &'a mut GpuMemory);

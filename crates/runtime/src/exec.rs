@@ -17,14 +17,14 @@
 use crate::addr::LaneAddrs;
 use crate::assembly::{assemble, AssemblyOutput, GatherConfig};
 use crate::config::BigKernelConfig;
-use crate::ctx::{AddrGenCtx, ComputeCtx, LoggedMem};
+use crate::ctx::{AddrGenCtx, ComputeCtx, DevMemory, LiveMem, LoggedMem};
 use crate::fusion::PassIo;
 use crate::kernel::{LaunchConfig, StreamKernel};
 use crate::layout::ChunkLayout;
 use crate::machine::Machine;
 use crate::pool::{AddrGenScratch, Compression};
 use crate::stream::{StreamArray, StreamId};
-use bk_gpu::{BlockLog, BlockSim, KernelCost, ReplayOutcome, WARP_SIZE};
+use bk_gpu::{BlockLog, BlockSim, DeviceSpec, KernelCost, ReplayOutcome, WARP_SIZE};
 use bk_host::{ArenaRef, CacheSim, CpuCost, DmaDirection, PinnedArena};
 use bk_obs::MetricsRegistry;
 use bk_simcore::SimTime;
@@ -58,8 +58,10 @@ impl BlockSlot {
     /// chunk's pinned prefetch window (and invalidates its `ArenaRef`s, so
     /// any stale read past this point panics instead of aliasing).
     fn recycle(&mut self, pure: BlockPure) {
-        self.scratch.pool.give_lanes(pure.lane_addrs);
-        self.scratch.pool.give_output(pure.out);
+        if let BlockPure::Assembled(pure) = pure {
+            self.scratch.pool.give_lanes(pure.lane_addrs);
+            self.scratch.pool.give_output(pure.out);
+        }
         self.scratch.pool.arena.reset();
     }
 }
@@ -74,8 +76,43 @@ struct AddrCounts {
     patterns_missed: u64,
 }
 
-/// Pure per-block output of stages 1–2 (no shared-simulator mutation).
-pub(crate) struct BlockPure {
+/// How a chunk's blocks stage their input on the device.
+#[derive(Clone, Copy)]
+pub(crate) enum ChunkMode<'a> {
+    /// The full pipeline: address generation, assembly into the prefetch
+    /// layout and write-back through the write-value buffer. `io` carries a
+    /// fused pass's byte-cost elision (`None` outside fused runs).
+    Assembled {
+        cfg: &'a BigKernelConfig,
+        io: Option<&'a PassIo>,
+    },
+    /// The overlap-only variant (`transfer_all`): each block's lane slices
+    /// are staged verbatim and modified in place; `aux` holds the secondary
+    /// streams staged whole to device buffers.
+    Staged {
+        aux: &'a [(StreamId, bk_gpu::BufferId)],
+    },
+}
+
+impl<'a> ChunkMode<'a> {
+    fn io(self) -> Option<&'a PassIo> {
+        match self {
+            ChunkMode::Assembled { io, .. } => io,
+            ChunkMode::Staged { .. } => None,
+        }
+    }
+}
+
+/// What every block of one chunk shares.
+pub(crate) struct ChunkJob<'a> {
+    pub(crate) kernel: &'a dyn StreamKernel,
+    pub(crate) streams: &'a [StreamArray],
+    pub(crate) mode: ChunkMode<'a>,
+    pub(crate) launch: LaunchConfig,
+}
+
+/// Assembled-mode output of stages 1–2.
+pub(crate) struct AssembledPure {
     lane_addrs: Vec<LaneAddrs>,
     ag_cost: KernelCost,
     out: AssemblyOutput,
@@ -83,10 +120,19 @@ pub(crate) struct BlockPure {
     addr_bytes: u64,
 }
 
-/// Pure per-block output of the overlap-only staging copy.
+/// Overlap-only output of the staging copy.
 pub(crate) struct StagedPure {
     layout: ChunkLayout,
     bytes: ArenaRef,
+}
+
+/// One block's pure-phase output (no shared-simulator mutation). One value
+/// per active block, held in its cell for the chunk: boxing the large
+/// variant would only add a heap allocation per block per chunk.
+#[allow(clippy::large_enum_variant)]
+pub(crate) enum BlockPure {
+    Assembled(AssembledPure),
+    Staged(StagedPure),
 }
 
 /// Per-block output of the compute stage.
@@ -96,8 +142,8 @@ pub(crate) struct BlockComputed {
     bytes_written: u64,
     /// Per-lane count of stream writes performed (assembled mode).
     writes_performed: Vec<usize>,
-    /// Any in-place staged-chunk modification of the *primary* stream
-    /// (overlap-only mode).
+    /// Any in-place modification of the *primary* stream (read by the
+    /// overlap-only write-back).
     any_writes: bool,
     /// Bitmask of aux-staged secondary streams written (overlap-only mode;
     /// bit = table index, see [`ComputeCtx::set_aux`]).
@@ -113,7 +159,6 @@ pub(crate) struct WaveCell<'s> {
     pub(crate) slices: Vec<Range<u64>>,
     pub(crate) slot: &'s mut BlockSlot,
     pub(crate) pure: Option<BlockPure>,
-    pub(crate) staged: Option<StagedPure>,
     pub(crate) data_buf: Option<bk_gpu::BufferId>,
     pub(crate) write_buf: Option<bk_gpu::BufferId>,
     pub(crate) computed: Option<BlockComputed>,
@@ -197,7 +242,7 @@ fn block_pure_bigkernel(
     tpb: u32,
     cfg: &BigKernelConfig,
     slot: &mut BlockSlot,
-) -> BlockPure {
+) -> AssembledPure {
     let mut ag_cost = KernelCost::new();
     let mut counts = AddrCounts::default();
     let BlockSlot {
@@ -236,7 +281,7 @@ fn block_pure_bigkernel(
         llc,
         &mut scratch.pool,
     );
-    BlockPure {
+    AssembledPure {
         lane_addrs,
         ag_cost,
         out,
@@ -247,7 +292,7 @@ fn block_pure_bigkernel(
 
 /// Fold one block's pure-phase results into chunk costs and metrics (block
 /// order).
-fn fold_pure(pure: &BlockPure, costs: &mut ChunkCosts, metrics: &mut MetricsRegistry) {
+fn fold_pure(pure: &AssembledPure, costs: &mut ChunkCosts, metrics: &mut MetricsRegistry) {
     costs.ag.merge(&pure.ag_cost);
     metrics.add("addr.entries", pure.counts.entries);
     metrics.add("addr.patterns_found", pure.counts.patterns_found);
@@ -282,7 +327,7 @@ fn fold_pure(pure: &BlockPure, costs: &mut ChunkCosts, metrics: &mut MetricsRegi
 /// image), which is exactly what keeps fused outputs bit-identical.
 fn stage_transfer(
     machine: &mut Machine,
-    pure: &BlockPure,
+    pure: &AssembledPure,
     arena: &PinnedArena,
     io: Option<&PassIo>,
     costs: &mut ChunkCosts,
@@ -348,7 +393,7 @@ fn fold_computed(computed: &BlockComputed, costs: &mut ChunkCosts, metrics: &mut
 fn writeback_assembled(
     machine: &mut Machine,
     streams: &[StreamArray],
-    pure: &BlockPure,
+    pure: &AssembledPure,
     write_buf: Option<bk_gpu::BufferId>,
     computed: &BlockComputed,
     io: Option<&PassIo>,
@@ -402,334 +447,6 @@ fn writeback_assembled(
             llc,
         );
     }
-}
-
-/// Compute stage against a per-block write log (pure phase; shared state is
-/// only read).
-#[allow(clippy::too_many_arguments)]
-fn compute_assembled_logged(
-    machine: &Machine,
-    kernel: &dyn StreamKernel,
-    slices: &[Range<u64>],
-    pure: &BlockPure,
-    data_buf: bk_gpu::BufferId,
-    write_buf: Option<bk_gpu::BufferId>,
-    block: u32,
-    tpb: u32,
-    launch: LaunchConfig,
-    verify: bool,
-    sim: &mut BlockSim,
-    log_scratch: &mut bk_gpu::LogScratch,
-) -> BlockComputed {
-    let mut comp_cost = KernelCost::new();
-    let mut log = BlockLog::with_scratch(&machine.gmem, log_scratch);
-    // The write buffer is block-private: mirror it so writes commit
-    // wholesale on replay. The data buffer is also block-private but only
-    // read, so snapshot reads need no mirror.
-    if let Some(wb) = write_buf {
-        // Freshly allocated by the transfer stage and untouched since, so
-        // the mirror can skip the snapshot read.
-        log.register_private_zeroed(wb);
-    }
-    let mut writes_performed: Vec<usize> = vec![0; tpb as usize];
-    let mut bytes_read = 0u64;
-    let mut bytes_written = 0u64;
-    {
-        let log = &mut log;
-        let writes_performed = &mut writes_performed;
-        let bytes_read = &mut bytes_read;
-        let bytes_written = &mut bytes_written;
-        let lane_addrs = &pure.lane_addrs;
-        let layout = &pure.out.layout;
-        let write_layout = pure.out.write_layout.as_ref();
-        bk_gpu::run_block_lanes(machine.gpu(), sim, tpb, &mut comp_cost, |lane, trace| {
-            let tid = block * tpb + lane as u32;
-            let mut ctx = ComputeCtx::assembled_on(
-                LoggedMem(&mut *log),
-                data_buf,
-                write_buf,
-                layout,
-                write_layout,
-                &lane_addrs[lane],
-                verify,
-                lane,
-                tid,
-                launch.total_threads(),
-                trace,
-            );
-            kernel.process(&mut ctx, slices[lane].clone());
-            *bytes_read += ctx.stream_bytes_read;
-            *bytes_written += ctx.stream_bytes_written;
-            writes_performed[lane] = ctx.write_count();
-        });
-    }
-    comp_cost.add_barrier(2);
-    BlockComputed {
-        comp_cost,
-        bytes_read,
-        bytes_written,
-        writes_performed,
-        any_writes: false,
-        aux_dirty: 0,
-        effects: Some(log.finish_into(log_scratch)),
-    }
-}
-
-/// Compute stage against live memory (sequential-capability kernels and
-/// conflict re-execution at the block's in-order turn).
-#[allow(clippy::too_many_arguments)]
-fn compute_assembled_live(
-    machine: &mut Machine,
-    kernel: &dyn StreamKernel,
-    slices: &[Range<u64>],
-    pure: &BlockPure,
-    data_buf: bk_gpu::BufferId,
-    write_buf: Option<bk_gpu::BufferId>,
-    block: u32,
-    tpb: u32,
-    launch: LaunchConfig,
-    verify: bool,
-    sim: &mut BlockSim,
-) -> BlockComputed {
-    let mut comp_cost = KernelCost::new();
-    let mut writes_performed: Vec<usize> = vec![0; tpb as usize];
-    let mut bytes_read = 0u64;
-    let mut bytes_written = 0u64;
-    {
-        let Machine {
-            ref devices,
-            ref mut gmem,
-            ..
-        } = *machine;
-        let gpu = &devices[0];
-        let writes_performed = &mut writes_performed;
-        let bytes_read = &mut bytes_read;
-        let bytes_written = &mut bytes_written;
-        let lane_addrs = &pure.lane_addrs;
-        let layout = &pure.out.layout;
-        let write_layout = pure.out.write_layout.as_ref();
-        bk_gpu::run_block_lanes(gpu, sim, tpb, &mut comp_cost, |lane, trace| {
-            let tid = block * tpb + lane as u32;
-            let mut ctx = ComputeCtx::assembled(
-                &mut *gmem,
-                data_buf,
-                write_buf,
-                layout,
-                write_layout,
-                &lane_addrs[lane],
-                verify,
-                lane,
-                tid,
-                launch.total_threads(),
-                trace,
-            );
-            kernel.process(&mut ctx, slices[lane].clone());
-            *bytes_read += ctx.stream_bytes_read;
-            *bytes_written += ctx.stream_bytes_written;
-            writes_performed[lane] = ctx.write_count();
-        });
-    }
-    comp_cost.add_barrier(2);
-    BlockComputed {
-        comp_cost,
-        bytes_read,
-        bytes_written,
-        writes_performed,
-        any_writes: false,
-        aux_dirty: 0,
-        effects: None,
-    }
-}
-
-/// One chunk of the full BigKernel path under the two-phase algorithm.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_chunk_assembled_logged(
-    machine: &mut Machine,
-    kernel: &dyn StreamKernel,
-    streams: &[StreamArray],
-    cells: &mut [WaveCell<'_>],
-    parallel: bool,
-    tpb: u32,
-    launch: LaunchConfig,
-    cfg: &BigKernelConfig,
-    io: Option<&PassIo>,
-    costs: &mut ChunkCosts,
-    metrics: &mut MetricsRegistry,
-) {
-    // Phase A (pure, concurrent): stages 1–2 per block.
-    {
-        let shared: &Machine = machine;
-        for_each_cell(parallel, cells, |cell| {
-            let WaveCell {
-                slices, slot, pure, ..
-            } = cell;
-            *pure = Some(block_pure_bigkernel(
-                shared, kernel, streams, slices, tpb, cfg, slot,
-            ));
-        });
-    }
-
-    // Phase B (ordered): fold pure results; allocate + DMA in block order so
-    // device addresses are schedule-independent.
-    for cell in cells.iter_mut() {
-        let WaveCell {
-            slot,
-            pure,
-            data_buf,
-            write_buf,
-            ..
-        } = cell;
-        let pure = pure.as_ref().unwrap();
-        fold_pure(pure, costs, metrics);
-        let arena = &slot.scratch.pool.arena;
-        let (db, wb) = stage_transfer(machine, pure, arena, io, costs, metrics);
-        *data_buf = Some(db);
-        *write_buf = wb;
-    }
-
-    // Phase C (pure, concurrent): kernel body against each block's write
-    // log over the chunk-start snapshot.
-    {
-        let shared: &Machine = machine;
-        let verify = cfg.verify_reads;
-        for_each_cell(parallel, cells, |cell| {
-            let WaveCell {
-                block,
-                slices,
-                slot,
-                pure,
-                data_buf,
-                write_buf,
-                computed,
-                ..
-            } = cell;
-            let pure = pure.as_ref().unwrap();
-            *computed = Some(compute_assembled_logged(
-                shared,
-                kernel,
-                slices,
-                pure,
-                data_buf.unwrap(),
-                *write_buf,
-                *block,
-                tpb,
-                launch,
-                verify,
-                &mut slot.sim,
-                &mut slot.log,
-            ));
-        });
-    }
-
-    // Phase D (ordered): replay effects in block order; a conflicting block
-    // re-executes live at its turn. Then host write-back + frees.
-    for cell in cells.iter_mut() {
-        let WaveCell {
-            block,
-            slices,
-            slot,
-            pure,
-            data_buf,
-            write_buf,
-            computed,
-            ..
-        } = cell;
-        let p = pure.as_ref().unwrap();
-        let effects = computed.as_mut().unwrap().effects.take().unwrap();
-        let outcome = effects.replay(&mut machine.gmem);
-        effects.reclaim(&mut slot.log);
-        if outcome == ReplayOutcome::Conflict {
-            metrics.incr("parallel.replay_conflicts");
-            *computed = Some(compute_assembled_live(
-                machine,
-                kernel,
-                slices,
-                p,
-                data_buf.unwrap(),
-                *write_buf,
-                *block,
-                tpb,
-                launch,
-                cfg.verify_reads,
-                &mut slot.sim,
-            ));
-        }
-        let done = computed.as_ref().unwrap();
-        fold_computed(done, costs, metrics);
-        writeback_assembled(
-            machine,
-            streams,
-            p,
-            *write_buf,
-            done,
-            io,
-            &mut slot.llc,
-            costs,
-            metrics,
-        );
-        machine.gmem.free(data_buf.unwrap());
-        if let Some(wb) = *write_buf {
-            machine.gmem.free(wb);
-        }
-        // Chunk retired: its address streams, layouts and prefetch bytes go
-        // back to the slot's pool for the next chunk.
-        if let Some(done_pure) = pure.take() {
-            slot.recycle(done_pure);
-        }
-    }
-}
-
-/// Legacy fused per-block path (sequential-capability kernels): stages run
-/// live, eagerly, strictly in block order.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_block_sequential(
-    machine: &mut Machine,
-    kernel: &dyn StreamKernel,
-    streams: &[StreamArray],
-    slices: &[Range<u64>],
-    block: u32,
-    tpb: u32,
-    launch: LaunchConfig,
-    cfg: &BigKernelConfig,
-    io: Option<&PassIo>,
-    slot: &mut BlockSlot,
-    costs: &mut ChunkCosts,
-    metrics: &mut MetricsRegistry,
-) {
-    let pure = block_pure_bigkernel(machine, kernel, streams, slices, tpb, cfg, slot);
-    fold_pure(&pure, costs, metrics);
-    let (data_buf, write_buf) =
-        stage_transfer(machine, &pure, &slot.scratch.pool.arena, io, costs, metrics);
-    let computed = compute_assembled_live(
-        machine,
-        kernel,
-        slices,
-        &pure,
-        data_buf,
-        write_buf,
-        block,
-        tpb,
-        launch,
-        cfg.verify_reads,
-        &mut slot.sim,
-    );
-    fold_computed(&computed, costs, metrics);
-    writeback_assembled(
-        machine,
-        streams,
-        &pure,
-        write_buf,
-        &computed,
-        io,
-        &mut slot.llc,
-        costs,
-        metrics,
-    );
-    machine.gmem.free(data_buf);
-    if let Some(wb) = write_buf {
-        machine.gmem.free(wb);
-    }
-    slot.recycle(pure);
 }
 
 /// Scatter the chunk's write-buffer values into the mapped host arrays
@@ -847,128 +564,6 @@ fn stage_transfer_staged(
     data_buf
 }
 
-/// Staged compute against a write log (the staged chunk itself is a private
-/// mirror: in-place modifications commit wholesale on replay).
-#[allow(clippy::too_many_arguments)]
-fn compute_staged_logged(
-    machine: &Machine,
-    kernel: &dyn StreamKernel,
-    slices: &[Range<u64>],
-    layout: &ChunkLayout,
-    data_buf: bk_gpu::BufferId,
-    aux: &[(StreamId, bk_gpu::BufferId)],
-    block: u32,
-    tpb: u32,
-    launch: LaunchConfig,
-    sim: &mut BlockSim,
-    log_scratch: &mut bk_gpu::LogScratch,
-) -> BlockComputed {
-    let mut comp_cost = KernelCost::new();
-    let mut log = BlockLog::with_scratch(&machine.gmem, log_scratch);
-    log.register_private(data_buf);
-    let mut bytes_read = 0u64;
-    let mut bytes_written = 0u64;
-    let mut any_writes = false;
-    let mut aux_dirty = 0u64;
-    {
-        let log = &mut log;
-        let bytes_read = &mut bytes_read;
-        let bytes_written = &mut bytes_written;
-        let any_writes = &mut any_writes;
-        let aux_dirty = &mut aux_dirty;
-        bk_gpu::run_block_lanes(machine.gpu(), sim, tpb, &mut comp_cost, |lane, trace| {
-            let tid = block * tpb + lane as u32;
-            let mut ctx = ComputeCtx::staged_on(
-                LoggedMem(&mut *log),
-                data_buf,
-                layout,
-                lane,
-                tid,
-                launch.total_threads(),
-                trace,
-            )
-            .set_aux(aux);
-            kernel.process(&mut ctx, slices[lane].clone());
-            *bytes_read += ctx.stream_bytes_read;
-            *bytes_written += ctx.stream_bytes_written;
-            *any_writes |= ctx.primary_bytes_written > 0;
-            *aux_dirty |= ctx.aux_written_mask;
-        });
-    }
-    comp_cost.add_barrier(2);
-    BlockComputed {
-        comp_cost,
-        bytes_read,
-        bytes_written,
-        writes_performed: Vec::new(),
-        any_writes,
-        aux_dirty,
-        effects: Some(log.finish_into(log_scratch)),
-    }
-}
-
-/// Staged compute against live memory (sequential-capability kernels and
-/// conflict re-execution).
-#[allow(clippy::too_many_arguments)]
-fn compute_staged_live(
-    machine: &mut Machine,
-    kernel: &dyn StreamKernel,
-    slices: &[Range<u64>],
-    layout: &ChunkLayout,
-    data_buf: bk_gpu::BufferId,
-    aux: &[(StreamId, bk_gpu::BufferId)],
-    block: u32,
-    tpb: u32,
-    launch: LaunchConfig,
-    sim: &mut BlockSim,
-) -> BlockComputed {
-    let mut comp_cost = KernelCost::new();
-    let mut bytes_read = 0u64;
-    let mut bytes_written = 0u64;
-    let mut any_writes = false;
-    let mut aux_dirty = 0u64;
-    {
-        let Machine {
-            ref devices,
-            ref mut gmem,
-            ..
-        } = *machine;
-        let gpu = &devices[0];
-        let bytes_read = &mut bytes_read;
-        let bytes_written = &mut bytes_written;
-        let any_writes = &mut any_writes;
-        let aux_dirty = &mut aux_dirty;
-        bk_gpu::run_block_lanes(gpu, sim, tpb, &mut comp_cost, |lane, trace| {
-            let tid = block * tpb + lane as u32;
-            let mut ctx = ComputeCtx::staged(
-                &mut *gmem,
-                data_buf,
-                layout,
-                lane,
-                tid,
-                launch.total_threads(),
-                trace,
-            )
-            .set_aux(aux);
-            kernel.process(&mut ctx, slices[lane].clone());
-            *bytes_read += ctx.stream_bytes_read;
-            *bytes_written += ctx.stream_bytes_written;
-            *any_writes |= ctx.primary_bytes_written > 0;
-            *aux_dirty |= ctx.aux_written_mask;
-        });
-    }
-    comp_cost.add_barrier(2);
-    BlockComputed {
-        comp_cost,
-        bytes_read,
-        bytes_written,
-        writes_performed: Vec::new(),
-        any_writes,
-        aux_dirty,
-        effects: None,
-    }
-}
-
 /// Ordered phase, stages 5–6 of the overlap-only variant: the staged chunk
 /// was modified in place; copy each lane's own slice (not the halo) back.
 #[allow(clippy::too_many_arguments)]
@@ -1005,185 +600,257 @@ fn writeback_staged(
     }
 }
 
-/// One chunk of the overlap-only variant under the two-phase algorithm.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_chunk_staged_logged(
-    machine: &mut Machine,
-    kernel: &dyn StreamKernel,
-    streams: &[StreamArray],
-    aux: &[(StreamId, bk_gpu::BufferId)],
-    cells: &mut [WaveCell<'_>],
-    parallel: bool,
-    tpb: u32,
-    launch: LaunchConfig,
-    costs: &mut ChunkCosts,
-    metrics: &mut MetricsRegistry,
-) {
-    // Phase A (pure, concurrent): staging layout + host-side gather into the
-    // slot's pinned arena.
-    {
-        let shared: &Machine = machine;
-        for_each_cell(parallel, cells, |cell| {
-            let WaveCell {
-                slices,
-                slot,
-                staged,
-                ..
-            } = cell;
-            *staged = Some(block_pure_staged(
-                shared,
-                kernel,
-                streams,
-                slices,
-                &mut slot.scratch.pool.arena,
-            ));
-        });
-    }
-
-    // Phase B (ordered): staging-copy cost + alloc + DMA in block order.
-    for cell in cells.iter_mut() {
-        let WaveCell {
-            slot,
-            staged,
-            data_buf,
-            ..
-        } = cell;
-        let staged = staged.as_ref().unwrap();
-        *data_buf = Some(stage_transfer_staged(
+/// Pure phase, stages 1–2 in either chunk mode. Reads shared state
+/// immutably; safe to run concurrently across blocks.
+fn block_pure(
+    machine: &Machine,
+    job: &ChunkJob<'_>,
+    slices: &[Range<u64>],
+    slot: &mut BlockSlot,
+) -> BlockPure {
+    match job.mode {
+        ChunkMode::Assembled { cfg, .. } => BlockPure::Assembled(block_pure_bigkernel(
             machine,
-            staged,
-            &slot.scratch.pool.arena,
-            costs,
-            metrics,
-        ));
-    }
-
-    // Phase C (pure, concurrent): kernel body against per-block logs.
-    {
-        let shared: &Machine = machine;
-        for_each_cell(parallel, cells, |cell| {
-            let WaveCell {
-                block,
-                slices,
-                slot,
-                staged,
-                data_buf,
-                computed,
-                ..
-            } = cell;
-            let staged = staged.as_ref().unwrap();
-            *computed = Some(compute_staged_logged(
-                shared,
-                kernel,
-                slices,
-                &staged.layout,
-                data_buf.unwrap(),
-                aux,
-                *block,
-                tpb,
-                launch,
-                &mut slot.sim,
-                &mut slot.log,
-            ));
-        });
-    }
-
-    // Phase D (ordered): replay, conflict re-execution, write-back, frees.
-    for cell in cells.iter_mut() {
-        let WaveCell {
-            block,
+            job.kernel,
+            job.streams,
             slices,
+            job.launch.threads_per_block,
+            cfg,
             slot,
-            staged,
-            data_buf,
-            computed,
-            ..
-        } = cell;
-        let st = staged.as_ref().unwrap();
-        let effects = computed.as_mut().unwrap().effects.take().unwrap();
-        let outcome = effects.replay(&mut machine.gmem);
-        effects.reclaim(&mut slot.log);
-        if outcome == ReplayOutcome::Conflict {
-            metrics.incr("parallel.replay_conflicts");
-            *computed = Some(compute_staged_live(
-                machine,
-                kernel,
-                slices,
-                &st.layout,
-                data_buf.unwrap(),
-                aux,
-                *block,
-                tpb,
-                launch,
-                &mut slot.sim,
-            ));
-        }
-        let done = computed.as_ref().unwrap();
-        fold_computed(done, costs, metrics);
-        writeback_staged(
+        )),
+        ChunkMode::Staged { .. } => BlockPure::Staged(block_pure_staged(
             machine,
-            streams,
-            &st.layout,
-            data_buf.unwrap(),
+            job.kernel,
+            job.streams,
             slices,
-            done.any_writes,
-            costs,
-            metrics,
-        );
-        machine.gmem.free(data_buf.unwrap());
-        // Chunk retired: drop the staged window and recycle the arena.
-        *staged = None;
-        slot.scratch.pool.arena.reset();
+            &mut slot.scratch.pool.arena,
+        )),
     }
 }
 
-/// Legacy fused per-block path of the overlap-only variant.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_block_sequential_staged(
+/// Ordered phase, stage 3: fold the block's pure results and DMA its bytes
+/// into freshly allocated device buffers.
+fn stage_in(
     machine: &mut Machine,
-    kernel: &dyn StreamKernel,
-    streams: &[StreamArray],
-    aux: &[(StreamId, bk_gpu::BufferId)],
-    slices: &[Range<u64>],
-    block: u32,
-    tpb: u32,
-    launch: LaunchConfig,
-    slot: &mut BlockSlot,
+    job: &ChunkJob<'_>,
+    cell: &mut WaveCell<'_>,
     costs: &mut ChunkCosts,
     metrics: &mut MetricsRegistry,
 ) {
-    let staged = block_pure_staged(
-        machine,
-        kernel,
-        streams,
-        slices,
-        &mut slot.scratch.pool.arena,
-    );
-    let data_buf =
-        stage_transfer_staged(machine, &staged, &slot.scratch.pool.arena, costs, metrics);
-    let computed = compute_staged_live(
-        machine,
-        kernel,
-        slices,
-        &staged.layout,
-        data_buf,
-        aux,
-        block,
-        tpb,
-        launch,
-        &mut slot.sim,
-    );
-    fold_computed(&computed, costs, metrics);
-    writeback_staged(
-        machine,
-        streams,
-        &staged.layout,
-        data_buf,
-        slices,
-        computed.any_writes,
-        costs,
-        metrics,
-    );
+    let arena = &cell.slot.scratch.pool.arena;
+    let (data_buf, write_buf) = match cell.pure.as_ref().expect("pure phase ran") {
+        BlockPure::Assembled(p) => {
+            fold_pure(p, costs, metrics);
+            stage_transfer(machine, p, arena, job.mode.io(), costs, metrics)
+        }
+        BlockPure::Staged(s) => (
+            stage_transfer_staged(machine, s, arena, costs, metrics),
+            None,
+        ),
+    };
+    cell.data_buf = Some(data_buf);
+    cell.write_buf = write_buf;
+}
+
+/// Stage 4, the kernel body, with device effects going to `mem`: a write
+/// log over the chunk-start snapshot or live device memory.
+fn compute<M: DevMemory>(
+    gpu: &DeviceSpec,
+    mut mem: M,
+    job: &ChunkJob<'_>,
+    cell: &mut WaveCell<'_>,
+) -> BlockComputed {
+    let (verify, aux) = match job.mode {
+        ChunkMode::Assembled { cfg, .. } => (cfg.verify_reads, &[][..]),
+        ChunkMode::Staged { aux } => (false, aux),
+    };
+    let pure = cell.pure.as_ref().expect("pure phase ran");
+    let data_buf = cell.data_buf.expect("stage_in ran");
+    let write_buf = cell.write_buf;
+    let tpb = job.launch.threads_per_block;
+    let threads = job.launch.total_threads();
+    let mut computed = BlockComputed {
+        comp_cost: KernelCost::new(),
+        bytes_read: 0,
+        bytes_written: 0,
+        writes_performed: match pure {
+            BlockPure::Assembled(_) => vec![0; tpb as usize],
+            BlockPure::Staged(_) => Vec::new(),
+        },
+        any_writes: false,
+        aux_dirty: 0,
+        effects: None,
+    };
+    let (block, slices) = (cell.block, &cell.slices);
+    let sim = &mut cell.slot.sim;
+    bk_gpu::run_block_lanes(gpu, sim, tpb, &mut computed.comp_cost, |lane, trace| {
+        let tid = block * tpb + lane as u32;
+        let mut ctx = match pure {
+            BlockPure::Assembled(p) => ComputeCtx::assembled_on(
+                &mut mem,
+                data_buf,
+                write_buf,
+                &p.out.layout,
+                p.out.write_layout.as_ref(),
+                &p.lane_addrs[lane],
+                verify,
+                lane,
+                tid,
+                threads,
+                trace,
+            ),
+            BlockPure::Staged(s) => {
+                ComputeCtx::staged_on(&mut mem, data_buf, &s.layout, lane, tid, threads, trace)
+            }
+        }
+        .set_aux(aux);
+        job.kernel.process(&mut ctx, slices[lane].clone());
+        computed.bytes_read += ctx.stream_bytes_read;
+        computed.bytes_written += ctx.stream_bytes_written;
+        computed.any_writes |= ctx.primary_bytes_written > 0;
+        computed.aux_dirty |= ctx.aux_written_mask;
+        if let Some(n) = computed.writes_performed.get_mut(lane) {
+            *n = ctx.write_count();
+        }
+    });
+    computed.comp_cost.add_barrier(2);
+    computed
+}
+
+/// [`compute`] against live memory (sequential-capability kernels and
+/// conflict re-execution at the block's in-order turn).
+fn compute_live(
+    machine: &mut Machine,
+    job: &ChunkJob<'_>,
+    cell: &mut WaveCell<'_>,
+) -> BlockComputed {
+    let Machine {
+        ref devices,
+        ref mut gmem,
+        ..
+    } = *machine;
+    compute(&devices[0], LiveMem(gmem), job, cell)
+}
+
+/// Ordered phase, stages 5–6: fold the block's compute results, write back
+/// to host memory, free its device buffers and return its chunk storage to
+/// the slot's pool for the next chunk.
+fn retire(
+    machine: &mut Machine,
+    job: &ChunkJob<'_>,
+    cell: &mut WaveCell<'_>,
+    costs: &mut ChunkCosts,
+    metrics: &mut MetricsRegistry,
+) {
+    let pure = cell.pure.take().expect("pure phase ran");
+    let data_buf = cell.data_buf.take().expect("stage_in ran");
+    let done = cell.computed.as_ref().expect("compute ran");
+    fold_computed(done, costs, metrics);
+    match &pure {
+        BlockPure::Assembled(p) => writeback_assembled(
+            machine,
+            job.streams,
+            p,
+            cell.write_buf,
+            done,
+            job.mode.io(),
+            &mut cell.slot.llc,
+            costs,
+            metrics,
+        ),
+        BlockPure::Staged(s) => writeback_staged(
+            machine,
+            job.streams,
+            &s.layout,
+            data_buf,
+            &cell.slices,
+            done.any_writes,
+            costs,
+            metrics,
+        ),
+    }
     machine.gmem.free(data_buf);
-    slot.scratch.pool.arena.reset();
+    if let Some(wb) = cell.write_buf.take() {
+        machine.gmem.free(wb);
+    }
+    cell.slot.recycle(pure);
+}
+
+/// One chunk under the two-phase algorithm, in either chunk mode.
+pub(crate) fn run_chunk(
+    machine: &mut Machine,
+    job: &ChunkJob<'_>,
+    cells: &mut [WaveCell<'_>],
+    parallel: bool,
+    costs: &mut ChunkCosts,
+    metrics: &mut MetricsRegistry,
+) {
+    // Phase A (pure, concurrent): stages 1–2 per block.
+    let shared: &Machine = machine;
+    for_each_cell(parallel, cells, |cell| {
+        cell.pure = Some(block_pure(shared, job, &cell.slices, cell.slot));
+    });
+
+    // Phase B (ordered): fold pure results; allocate + DMA in block order so
+    // device addresses are schedule-independent.
+    for cell in cells.iter_mut() {
+        stage_in(machine, job, cell, costs, metrics);
+    }
+
+    // Phase C (pure, concurrent): kernel body against each block's write
+    // log over the chunk-start snapshot.
+    let shared: &Machine = machine;
+    for_each_cell(parallel, cells, |cell| {
+        let mut log = BlockLog::with_scratch(&shared.gmem, &mut cell.slot.log);
+        match cell.pure.as_ref().expect("pure phase ran") {
+            // The write buffer is block-private: mirror it so writes commit
+            // wholesale on replay. Freshly allocated by the transfer stage
+            // and untouched since, so the mirror can skip the snapshot read.
+            // The data buffer is also block-private but only read, so
+            // snapshot reads need no mirror.
+            BlockPure::Assembled(_) => {
+                if let Some(wb) = cell.write_buf {
+                    log.register_private_zeroed(wb);
+                }
+            }
+            // The staged chunk itself is a private mirror: in-place
+            // modifications commit wholesale on replay.
+            BlockPure::Staged(_) => log.register_private(cell.data_buf.expect("stage_in ran")),
+        }
+        let mut done = compute(shared.gpu(), LoggedMem(&mut log), job, cell);
+        done.effects = Some(log.finish_into(&mut cell.slot.log));
+        cell.computed = Some(done);
+    });
+
+    // Phase D (ordered): replay effects in block order; a conflicting block
+    // re-executes live at its turn. Then write-back, frees and recycling.
+    for cell in cells.iter_mut() {
+        let effects = cell
+            .computed
+            .as_mut()
+            .and_then(|c| c.effects.take())
+            .expect("logged compute records effects");
+        let outcome = effects.replay(&mut machine.gmem);
+        effects.reclaim(&mut cell.slot.log);
+        if outcome == ReplayOutcome::Conflict {
+            metrics.incr("parallel.replay_conflicts");
+            cell.computed = Some(compute_live(machine, job, cell));
+        }
+        retire(machine, job, cell, costs, metrics);
+    }
+}
+
+/// Legacy per-block path (sequential-capability kernels): the block's
+/// stages run live, eagerly, strictly in block order.
+pub(crate) fn run_block_sequential(
+    machine: &mut Machine,
+    job: &ChunkJob<'_>,
+    cell: &mut WaveCell<'_>,
+    costs: &mut ChunkCosts,
+    metrics: &mut MetricsRegistry,
+) {
+    cell.pure = Some(block_pure(machine, job, &cell.slices, cell.slot));
+    stage_in(machine, job, cell, costs, metrics);
+    cell.computed = Some(compute_live(machine, job, cell));
+    retire(machine, job, cell, costs, metrics);
 }

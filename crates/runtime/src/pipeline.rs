@@ -29,6 +29,20 @@
 //! chunks across however many simulated GPUs the [`Machine`] carries. The
 //! schedule's makespan is the run's simulated time.
 //!
+//! ## One run core
+//!
+//! Every batch run — [`run_bigkernel`], a streaming window
+//! ([`run_bigkernel_window`]) and a fused multi-pass program
+//! ([`run_bigkernel_fused`]) — goes through one private core. A fused
+//! program is the same six-stage chain repeated per pass, so the core takes
+//! the pass list plus an optional [`FusePlan`] and sets everything up once:
+//! §IV.D occupancy over the most constrained pass, the GPU pools, chunk
+//! sizing, the executor over the six-stage or `6 × passes` graph, the fault
+//! ladder (full depth → depth 1 → serial, in the run's stage shape) and the
+//! autotuner. One wave loop then simulates each pass's chunks in pass-major
+//! order and schedules the rows in windows; untuned, a window is the whole
+//! wave. Fusion refusals are decided before any functional simulation.
+//!
 //! ## Two-phase block simulation
 //!
 //! Simulating one chunk means simulating every active block's stage work.
@@ -53,7 +67,9 @@
 //! identical logged algorithm, so metrics, times and outputs match bit for
 //! bit. Kernels whose device ops are *not* log-replayable (e.g. consuming
 //! `atomic_add` return values across blocks) declare
-//! [`DeviceEffects::Sequential`] and run the legacy fused per-block loop.
+//! [`DeviceEffects::Sequential`] and run the legacy per-block loop. Both
+//! drivers serve both chunk modes: the assembled pipeline and the
+//! overlap-only variant's verbatim staging (`transfer_all`).
 //!
 //! Thread blocks beyond the §IV.D active-block count run as successive
 //! waves, reusing the active blocks' buffers (and their per-slot simulation
@@ -62,12 +78,14 @@
 use crate::autotune::{Autotuner, RankBy, TunePlan, WindowFeedback};
 use crate::config::BigKernelConfig;
 use crate::exec::{
-    run_block_sequential, run_block_sequential_staged, run_chunk_assembled_logged,
-    run_chunk_staged_logged, BlockSlot, ChunkCosts, WaveCell,
+    run_block_sequential, run_chunk, BlockSlot, ChunkCosts, ChunkJob, ChunkMode, WaveCell,
 };
 use crate::fault::FaultContext;
 use crate::fusion::{FusePlan, FuseRefusal, PassIo};
-use crate::graph::{bigkernel_graph_depths, fused_graph_depths, Executor};
+use crate::graph::{
+    bigkernel_graph_depths, fused_graph_depths, fused_serial_graph, serial_graph, Executor,
+    GraphSpec,
+};
 use crate::kernel::{chunk_slice, partition_ranges, DeviceEffects, LaunchConfig, StreamKernel};
 use crate::machine::Machine;
 use crate::result::{finalize_stage_stats, RunResult};
@@ -140,12 +158,14 @@ fn bound_counter(stage: &str, bound: &str) -> &'static str {
 /// Log one autotuner re-plan: the decision counters that pin the re-plan
 /// sequence in the determinism suite, plus a Perfetto instant marker on the
 /// `"autotune"` track placed at the simulated time the new plan takes
-/// effect. `reuse_stall` is the triggering window's reuse stall (zero for
-/// wave-boundary chunk re-plans, which act on chunk counts, not stall).
-fn note_retune(
+/// effect. `next` is the first chunk — for the streaming runner's
+/// cross-window controller, the first window — the plan applies to.
+/// `reuse_stall` is the triggering window's reuse stall (zero for
+/// chunk-size re-plans, which act on chunk counts, not stall).
+pub(crate) fn note_retune(
     metrics: &mut MetricsRegistry,
     plan: TunePlan,
-    next_chunk: usize,
+    next: usize,
     now: SimTime,
     reuse_stall: SimTime,
 ) {
@@ -155,7 +175,7 @@ fn note_retune(
     bk_obs::trace::record(&SpanRecord {
         track: "autotune",
         stage: RETUNE_MARKER_STAGE,
-        chunk: next_chunk,
+        chunk: next,
         start: now,
         dur: SimTime::ZERO,
         stall: Some(("buffer-reuse", reuse_stall)),
@@ -190,14 +210,45 @@ impl StagedAux {
     }
 }
 
+/// §IV.D occupancy of a launch whose passes all run on the same active-block
+/// front: the most constrained pass (fewest active blocks, lowest thread
+/// occupancy) — conservative for the schedule and exact for the memory
+/// footprint of the blocks actually in flight. `addr_gen` doubles each
+/// block's threads for the address-generation warps (the overlap-only
+/// variant launches none). Returns the occupancy and the thread-occupancy
+/// factor the GPU pools run at.
+pub(crate) fn block_occupancy(
+    machine: &Machine,
+    kernels: &[&dyn StreamKernel],
+    launch: LaunchConfig,
+    addr_gen: bool,
+) -> (occupancy::Occupancy, f64) {
+    let mut occ: Option<occupancy::Occupancy> = None;
+    let mut occ_factor = f64::INFINITY;
+    for k in kernels {
+        let base_res = k.resources();
+        let threads = base_res.threads_per_block.max(launch.threads_per_block);
+        let res = BlockResources {
+            threads_per_block: if addr_gen { threads * 2 } else { threads },
+            ..base_res
+        };
+        let o = occupancy::compute(machine.gpu(), &res, launch.num_blocks);
+        occ_factor = occ_factor.min(o.thread_occupancy(machine.gpu(), &res));
+        if occ
+            .as_ref()
+            .is_none_or(|prev| o.active_blocks < prev.active_blocks)
+        {
+            occ = Some(o);
+        }
+    }
+    (occ.expect("at least one pass"), occ_factor.max(0.125))
+}
+
 /// Simulate one chunk of one pass: run every active block's functional
 /// simulation, fold the per-block costs into the six per-stage durations and
-/// emit the bound counters and transfer histograms. Shared between the
-/// single-pass pipeline ([`run_bigkernel`]) and the fused multi-pass runner
-/// ([`run_bigkernel_fused`]), which places the returned stage times at its
-/// pass's offset in a `6 × passes`-wide duration row. `io` carries the
-/// fusion byte-cost elision for this pass (`None` outside fused runs); it
-/// changes cost accounting only — the functional simulation is identical.
+/// emit the bound counters and transfer histograms. `io` carries the fusion
+/// byte-cost elision for this pass (`None` outside fused runs); it changes
+/// cost accounting only — the functional simulation is identical.
 #[allow(clippy::too_many_arguments)]
 fn simulate_chunk(
     machine: &mut Machine,
@@ -212,8 +263,6 @@ fn simulate_chunk(
     cfg: &BigKernelConfig,
     io: Option<&PassIo>,
     aux: &mut StagedAux,
-    logged: bool,
-    parallel: bool,
     ag_pool: &GpuPool,
     comp_pool: &GpuPool,
     sync_costs: &sync::SyncCosts,
@@ -244,7 +293,6 @@ fn simulate_chunk(
             slices,
             slot,
             pure: None,
-            staged: None,
             data_buf: None,
             write_buf: None,
             computed: None,
@@ -255,51 +303,36 @@ fn simulate_chunk(
         return row;
     }
 
-    if !logged {
-        // Sequential-capability kernels: legacy fused per-block loop
-        // in block order (both parallel_blocks settings).
-        for cell in cells.iter_mut() {
-            if cfg.transfer_all {
-                run_block_sequential_staged(
-                    machine,
-                    kernel,
-                    streams,
-                    &aux.table,
-                    &cell.slices,
-                    cell.block,
-                    tpb,
-                    launch,
-                    cell.slot,
-                    &mut costs,
-                    metrics,
-                );
-            } else {
-                run_block_sequential(
-                    machine,
-                    kernel,
-                    streams,
-                    &cell.slices,
-                    cell.block,
-                    tpb,
-                    launch,
-                    cfg,
-                    io,
-                    cell.slot,
-                    &mut costs,
-                    metrics,
-                );
-            }
-        }
-    } else if cfg.transfer_all {
-        run_chunk_staged_logged(
-            machine, kernel, streams, &aux.table, &mut cells, parallel, tpb, launch, &mut costs,
+    let mode = if cfg.transfer_all {
+        ChunkMode::Staged { aux: &aux.table }
+    } else {
+        ChunkMode::Assembled { cfg, io }
+    };
+    let job = ChunkJob {
+        kernel,
+        streams,
+        mode,
+        launch,
+    };
+    if kernel.device_effects() == DeviceEffects::Replayable {
+        // Capability gate: only log-replayable kernels run the two-phase
+        // algorithm. `parallel_blocks` then merely toggles the thread pool —
+        // the algorithm (and thus every observable result) is the same
+        // either way.
+        run_chunk(
+            machine,
+            &job,
+            &mut cells,
+            cfg.parallel_blocks,
+            &mut costs,
             metrics,
         );
     } else {
-        run_chunk_assembled_logged(
-            machine, kernel, streams, &mut cells, parallel, tpb, launch, cfg, io, &mut costs,
-            metrics,
-        );
+        // Sequential-capability kernels: the legacy per-block loop in block
+        // order (both parallel_blocks settings).
+        for cell in cells.iter_mut() {
+            run_block_sequential(machine, &job, cell, &mut costs, metrics);
+        }
     }
 
     // Stage 1: addr-gen pool roofline + zero-copy address stores.
@@ -423,324 +456,8 @@ pub fn run_bigkernel_window(
     cfg: &BigKernelConfig,
     window: Range<u64>,
 ) -> RunResult {
-    cfg.validate();
-    assert!(!streams.is_empty(), "need at least one mapped stream");
-    for (i, s) in streams.iter().enumerate() {
-        assert_eq!(s.id.0 as usize, i, "streams must be indexed by id");
-    }
-
-    let rec = kernel.record_size();
-    let primary = &streams[0];
-    let tpb = launch.threads_per_block;
-
-    assert!(
-        window.start <= window.end && window.end <= primary.len(),
-        "window {window:?} outside primary stream (len {})",
-        primary.len()
-    );
-    if let Some(unit) = rec {
-        assert_eq!(
-            window.start % unit,
-            0,
-            "window start {} must be record-aligned (record size {unit})",
-            window.start
-        );
-    }
-
-    // §IV.D: occupancy with the doubled thread count (addr-gen + compute).
-    let base_res = kernel.resources();
-    let doubled = BlockResources {
-        threads_per_block: if cfg.transfer_all {
-            base_res.threads_per_block.max(tpb)
-        } else {
-            (base_res.threads_per_block.max(tpb)) * 2
-        },
-        ..base_res
-    };
-    let occ = occupancy::compute(machine.gpu(), &doubled, launch.num_blocks);
-    let occ_factor = occ.thread_occupancy(machine.gpu(), &doubled).max(0.125);
-    let active_blocks = occ.active_blocks.max(1);
-
-    // GPU pools: addr-gen and compute each get half the issue throughput
-    // (the overlap-only variant launches no addr-gen warps). Devices are
-    // homogeneous (see `Machine::replicate_gpus`), so one pool pair models
-    // any of them.
-    let pool_fraction = if cfg.transfer_all { 1.0 } else { 0.5 };
-    let ag_pool = GpuPool::new(machine.gpu().clone(), pool_fraction, occ_factor);
-    let comp_pool = GpuPool::new(machine.gpu().clone(), pool_fraction, occ_factor);
-
-    // Work partition over the window (the whole stream in batch mode),
-    // offset back to absolute stream positions: kernels, chunk slicing and
-    // the FIFO cross-check all speak absolute offsets into `streams[0]`.
-    let ranges: Vec<Range<u64>> =
-        partition_ranges(window.end - window.start, launch.total_threads(), rec)
-            .into_iter()
-            .map(|r| r.start + window.start..r.end + window.start)
-            .collect();
-
-    // Chunking: each block consumes ~chunk_input_bytes of input per chunk.
-    // Mutable because the autotuner may re-plan the chunk size at a wave
-    // boundary (never mid-wave — a wave boundary is the only point with no
-    // chunk in flight).
-    let unit = rec.unwrap_or(1);
-    let max_range = ranges.iter().map(|r| r.end - r.start).max().unwrap_or(0);
-    let lane_slice = |chunk_bytes: u64| ((chunk_bytes / tpb as u64) / unit).max(1) * unit;
-    let chunks_for = |slice: u64| (max_range.div_ceil(slice)).max(1) as usize;
-    let mut per_lane_slice = lane_slice(cfg.chunk_input_bytes);
-    let mut num_chunks = chunks_for(per_lane_slice);
-
-    let sync_costs = sync::per_chunk(machine, cfg.sync);
-    let mut metrics = MetricsRegistry::new();
-    metrics.add("launch.blocks", launch.num_blocks as u64);
-    metrics.add("launch.active_blocks", active_blocks as u64);
-    metrics.add("launch.threads", launch.total_threads() as u64);
-    metrics.add("run.chunks_per_block", num_chunks as u64);
-    metrics.add("run.devices", machine.num_gpus() as u64);
-
-    // The schedule is a stage-graph configuration: stages, resources, edges
-    // and the §IV.C reuse rule are data (see [`bigkernel_graph_depths`]),
-    // and the executor deals chunks across the machine's simulated GPUs.
-    // Each device owns its buffer pool, so the reuse depth applies within a
-    // device's local chunk sequence. The executor is rebuilt whenever the
-    // autotuner re-plans the reuse depths between scheduling windows.
-    let copy_engines = machine.gpu().copy_engines as usize;
-    let spec = bigkernel_graph_depths(copy_engines, cfg.buffer_depth, cfg.wb_depth());
-    let mut executor = Executor::new(spec, machine.num_gpus(), cfg.shard_policy);
-
-    // Fault injection (see [`crate::fault`]): when a plan is configured the
-    // fault context replaces `executor.run` per wave — inflating durations
-    // with retries, requeuing chunks off a dead device and degrading the
-    // graph when a stage exhausts its budget. `None` takes the executor
-    // path untouched. Either way the functional simulation below is
-    // identical: faults perturb timing and placement only.
-    let mut fault_ctx = cfg.faults.clone().map(|plan| {
-        FaultContext::new(
-            plan,
-            machine.num_gpus(),
-            cfg.shard_policy,
-            copy_engines,
-            cfg.buffer_depth,
-            cfg.wb_depth(),
-        )
-    });
-
-    // Adaptive occupancy autotuning (see [`crate::autotune`]): the §IV.D
-    // occupancy model bounds how many buffer sets per active block the
-    // device can hold, and the controller re-plans reuse depths / chunk
-    // size within that cap from recorded schedule state only. `None` takes
-    // the exact static scheduling path below.
-    // Blame-ranked feedback walks the window's critical path; raw-stall
-    // feedback (the default) only sums per-slot stall counters.
-    let blame_rank = cfg
-        .autotune
-        .as_ref()
-        .is_some_and(|t| t.rank_by == RankBy::CritBlame);
-    let mut tuner = cfg.autotune.clone().map(|tcfg| {
-        let feasible =
-            occupancy::max_buffer_sets(machine.gpu(), &occ, cfg.chunk_input_bytes.max(1));
-        Autotuner::new(
-            tcfg,
-            TunePlan {
-                data_depth: cfg.buffer_depth,
-                wb_depth: cfg.wb_depth(),
-                chunk_bytes: cfg.chunk_input_bytes,
-            },
-            feasible,
-        )
-    });
-
-    // Capability gate: only log-replayable kernels run the two-phase
-    // algorithm. `parallel_blocks` then merely toggles the thread pool — the
-    // algorithm (and thus every observable result) is the same either way.
-    let logged = kernel.device_effects() == DeviceEffects::Replayable;
-    let parallel = logged && cfg.parallel_blocks;
-
-    let waves = launch.num_blocks.div_ceil(active_blocks);
-    let mut total = SimTime::ZERO;
-    let mut stage_stats = Vec::new();
-    let mut total_chunks = 0usize;
-    let mut slots: Vec<BlockSlot> = (0..active_blocks.min(launch.num_blocks).max(1))
-        .map(|_| BlockSlot::new())
-        .collect();
-
-    // Overlap-only with secondary streams: stage each whole aux stream to a
-    // device buffer up front (see [`StagedAux`]).
-    let mut aux = StagedAux::empty();
-    if cfg.transfer_all && streams.len() > 1 {
-        for s in &streams[1..] {
-            let buf = machine.gmem.alloc(s.len().max(1));
-            let src = machine.hmem.read(s.region, 0, s.len() as usize).to_vec();
-            machine.gmem.dma_in(buf, 0, &src);
-            metrics.add("pcie.h2d_bytes", s.len());
-            aux.pending_xfer += machine
-                .link
-                .dma_time_with_flag(DmaDirection::HostToDevice, s.len());
-            aux.table.push((s.id, buf));
-        }
-    }
-
-    let mut seen_fault_level = 0usize;
-    for wave in 0..waves {
-        // Wave-boundary chunk-size re-plan: buffers swap between windows,
-        // but the chunk granularity only changes where nothing is in
-        // flight. Purely a re-chunking of each block's lane ranges — every
-        // record is still processed exactly once, so outputs are unchanged.
-        if wave > 0 {
-            if let Some(tuner) = tuner.as_mut() {
-                if let Some(plan) = tuner.plan_wave(num_chunks) {
-                    per_lane_slice = lane_slice(plan.chunk_bytes);
-                    num_chunks = chunks_for(per_lane_slice);
-                    note_retune(&mut metrics, plan, total_chunks, total, SimTime::ZERO);
-                }
-            }
-        }
-        let blocks: Vec<u32> =
-            (wave * active_blocks..((wave + 1) * active_blocks).min(launch.num_blocks)).collect();
-        let mut durations: Vec<Vec<SimTime>> = Vec::with_capacity(num_chunks);
-
-        for chunk in 0..num_chunks {
-            let row = simulate_chunk(
-                machine,
-                kernel,
-                streams,
-                &ranges,
-                &blocks,
-                &mut slots,
-                chunk,
-                num_chunks,
-                launch,
-                cfg,
-                None,
-                &mut aux,
-                logged,
-                parallel,
-                &ag_pool,
-                &comp_pool,
-                &sync_costs,
-                &mut metrics,
-            );
-            durations.push(row.to_vec());
-        }
-
-        match tuner.as_mut() {
-            // Static path: schedule the whole wave in one piece — the exact
-            // legacy code path, bit-identical to pre-autotuner runs.
-            None => {
-                let sharded = match fault_ctx.as_mut() {
-                    Some(fc) => {
-                        fc.run_wave(wave as usize, total_chunks, total, &durations, &mut metrics)
-                    }
-                    None => executor.run(&durations),
-                };
-                // Observability: spans (when a trace guard is live),
-                // per-stage span histograms, stall.<stage>.<cause> totals
-                // and device.<d>.* counters, offset into run-global chunk
-                // indices / simulated time. Waves run back to back, so the
-                // running `total` is this wave's time base.
-                sharded.record(total_chunks, total, &mut metrics);
-                total += sharded.makespan();
-                sharded.accumulate(&mut stage_stats);
-                total_chunks += durations.len();
-            }
-            // Tuned path: the wave is scheduled in windows. Each window
-            // drains the pipeline (re-planning swaps buffer allocations, so
-            // it needs a quiesce point — the honest cost of adapting), gets
-            // measured, and may trigger a re-plan that takes effect from the
-            // next window. Once the controller converges the window widens
-            // to the rest of the wave and the drain overhead stops.
-            Some(tuner) => {
-                let mut idx = 0usize;
-                while idx < durations.len() {
-                    let win = tuner.window_len().min(durations.len() - idx);
-                    let rows = &durations[idx..idx + win];
-                    let sharded = match fault_ctx.as_mut() {
-                        Some(fc) => {
-                            fc.run_wave(wave as usize, total_chunks, total, rows, &mut metrics)
-                        }
-                        None => executor.run(rows),
-                    };
-                    sharded.record(total_chunks, total, &mut metrics);
-                    let fb = if blame_rank {
-                        WindowFeedback::from_sharded_with_blame(&sharded)
-                    } else {
-                        WindowFeedback::from_sharded(&sharded)
-                    };
-                    total += sharded.makespan();
-                    sharded.accumulate(&mut stage_stats);
-                    total_chunks += win;
-                    idx += win;
-                    metrics.incr("autotune.windows");
-                    let window_stall = fb.data_reuse_stall + fb.wb_reuse_stall;
-                    // Degradation first: if the fault ladder swapped the
-                    // graph during this window, the controller adopts the
-                    // degraded depths and keeps tuning *that* graph.
-                    if let Some(fc) = fault_ctx.as_mut() {
-                        if fc.level() > seen_fault_level {
-                            seen_fault_level = fc.level();
-                            if let Some(plan) = tuner.on_degraded(seen_fault_level) {
-                                note_retune(&mut metrics, plan, total_chunks, total, window_stall);
-                            }
-                        }
-                    }
-                    if let Some(plan) = tuner.observe(&fb) {
-                        note_retune(&mut metrics, plan, total_chunks, total, window_stall);
-                        let spec =
-                            bigkernel_graph_depths(copy_engines, plan.data_depth, plan.wb_depth);
-                        match fault_ctx.as_mut() {
-                            Some(fc) => {
-                                fc.retune_current(spec);
-                            }
-                            None => {
-                                executor =
-                                    Executor::new(spec, machine.num_gpus(), cfg.shard_policy);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // Flush dirty aux streams back to host and free the staged buffers. The
-    // flush is a serial drain tail after the last chunk retires: one d2h DMA
-    // plus the host-side apply per dirty stream.
-    for (i, (id, buf)) in aux.table.iter().enumerate() {
-        let s = &streams[id.0 as usize];
-        if aux.dirty & (1u64 << (i as u64).min(63)) != 0 {
-            let bytes = machine.gmem.dma_out(*buf, 0, s.len() as usize);
-            machine.hmem.write(s.region, 0, &bytes);
-            metrics.add("pcie.d2h_bytes", s.len());
-            total += machine
-                .link
-                .dma_time_with_flag(DmaDirection::DeviceToHost, s.len());
-            let apply = CpuCost::streaming(s.len(), 2, 1);
-            total += cpu::cpu_stage_terms(&machine.cpu, &apply, 1).duration();
-        }
-        machine.gmem.free(*buf);
-    }
-
-    finalize_stage_stats(&mut stage_stats, total_chunks);
-    metrics.add("run.waves", waves as u64);
-    if let Some(tuner) = tuner.as_ref() {
-        let plan = tuner.plan();
-        metrics.add("autotune.depth", plan.data_depth as u64);
-        metrics.add("autotune.buffers", plan.wb_depth as u64);
-        metrics.add("autotune.chunk_bytes", plan.chunk_bytes);
-    }
-
-    RunResult {
-        implementation: if cfg.transfer_all {
-            "bigkernel-overlap-only"
-        } else if cfg.layout == crate::config::AssemblyLayout::PerLane {
-            "bigkernel-volume-reduction"
-        } else {
-            "bigkernel"
-        },
-        total,
-        stages: stage_stats,
-        metrics,
-        chunks: total_chunks,
-    }
+    run_core(machine, &[kernel], streams, launch, cfg, window, None)
+        .expect("only fused runs refuse")
 }
 
 /// Run a fused multi-pass program — `kernels[p]` is pass `p` — as **one**
@@ -783,22 +500,44 @@ pub fn run_bigkernel_fused(
     cfg: &BigKernelConfig,
     plan: &FusePlan,
 ) -> Result<RunResult, FuseRefusal> {
+    let whole = 0..streams.first().map_or(0, |s| s.len());
+    run_core(machine, kernels, streams, launch, cfg, whole, Some(plan))
+}
+
+/// The one BigKernel batch run: `kernels[p]` is pass `p` over `window` of
+/// the primary stream, and `fuse` — present exactly when the passes run as
+/// one fused program — carries each pass's fusion byte-cost elision.
+/// Occupancy, pools, chunking, the executor, the fault ladder and the
+/// autotuner are set up once; one loop then simulates and schedules every
+/// block wave. Only fused runs refuse, and every refusal is decided before
+/// any functional simulation.
+fn run_core(
+    machine: &mut Machine,
+    kernels: &[&dyn StreamKernel],
+    streams: &[StreamArray],
+    launch: LaunchConfig,
+    cfg: &BigKernelConfig,
+    window: Range<u64>,
+    fuse: Option<&FusePlan>,
+) -> Result<RunResult, FuseRefusal> {
     cfg.validate();
-    assert!(
-        !cfg.transfer_all,
-        "fused execution requires the assembled pipeline; \
-         transfer_all is the overlap-only baseline"
-    );
     assert!(!streams.is_empty(), "need at least one mapped stream");
     for (i, s) in streams.iter().enumerate() {
         assert_eq!(s.id.0 as usize, i, "streams must be indexed by id");
     }
     let passes = kernels.len();
-    assert_eq!(
-        passes, plan.passes,
-        "fuse plan covers {} passes but {} kernels were supplied",
-        plan.passes, passes
-    );
+    if let Some(plan) = fuse {
+        assert!(
+            !cfg.transfer_all,
+            "fused execution requires the assembled pipeline; \
+             transfer_all is the overlap-only baseline"
+        );
+        assert_eq!(
+            passes, plan.passes,
+            "fuse plan covers {} passes but {} kernels were supplied",
+            plan.passes, passes
+        );
+    }
 
     // Identical record sizes ⇒ identical lane partitions in every pass, the
     // property the coverage proof (and cross-wave ordering) relies on.
@@ -810,49 +549,72 @@ pub fn run_bigkernel_fused(
     let primary = &streams[0];
     let tpb = launch.threads_per_block;
 
-    // §IV.D occupancy: every pass runs on the same active-block front, so
-    // take the most constrained pass (fewest active blocks, lowest thread
-    // occupancy) — conservative for the schedule and exact for the memory
-    // footprint of the blocks actually in flight.
-    let mut occ = None;
-    let mut occ_factor = f64::INFINITY;
-    for k in kernels {
-        let base_res = k.resources();
-        let doubled = BlockResources {
-            threads_per_block: (base_res.threads_per_block.max(tpb)) * 2,
-            ..base_res
-        };
-        let o = occupancy::compute(machine.gpu(), &doubled, launch.num_blocks);
-        occ_factor = occ_factor.min(o.thread_occupancy(machine.gpu(), &doubled));
-        if occ
-            .as_ref()
-            .is_none_or(|prev: &bk_gpu::occupancy::Occupancy| o.active_blocks < prev.active_blocks)
-        {
-            occ = Some(o);
-        }
+    assert!(
+        window.start <= window.end && window.end <= primary.len(),
+        "window {window:?} outside primary stream (len {})",
+        primary.len()
+    );
+    if let Some(unit) = rec {
+        assert_eq!(
+            window.start % unit,
+            0,
+            "window start {} must be record-aligned (record size {unit})",
+            window.start
+        );
     }
-    let occ = occ.expect("at least one pass");
-    let occ_factor = occ_factor.max(0.125);
+
+    let (occ, occ_factor) = block_occupancy(machine, kernels, launch, !cfg.transfer_all);
     let active_blocks = occ.active_blocks.max(1);
 
-    // Resident intermediates charge against the buffer-set budget: if not
-    // even one set fits alongside them, fusion is infeasible on this device.
+    // The §IV.D buffer-set budget. A fused program's resident intermediates
+    // charge against it: if not even one set fits alongside them, fusion is
+    // infeasible on this device.
     let set_bytes = cfg.chunk_input_bytes.max(1);
-    let resident_bytes = plan.resident_bytes_per_chunk(cfg.chunk_input_bytes);
+    let resident_bytes = fuse.map_or(0, |p| p.resident_bytes_per_chunk(cfg.chunk_input_bytes));
     let feasible_sets =
         occupancy::max_buffer_sets_resident(machine.gpu(), &occ, set_bytes, resident_bytes);
-    if feasible_sets == 0 {
+    if fuse.is_some() && feasible_sets == 0 {
         return Err(FuseRefusal::ResidentFootprint {
             needed: u64::from(active_blocks) * (set_bytes + resident_bytes),
             budget: machine.gpu().mem_capacity / 2,
         });
     }
 
-    let ag_pool = GpuPool::new(machine.gpu().clone(), 0.5, occ_factor);
-    let comp_pool = GpuPool::new(machine.gpu().clone(), 0.5, occ_factor);
+    let waves = launch.num_blocks.div_ceil(active_blocks);
+    // Passes that read device state accumulated by an earlier pass need a
+    // global pass barrier. The pass-major functional order below provides
+    // one per wave — all of pass p's chunks run before pass p+1's — but a
+    // second wave would count against state its own pass-0 front has not
+    // produced yet. Fusing such programs is therefore only legal when the
+    // launch is a single co-resident wave (persistent blocks).
+    if fuse.is_some() && waves > 1 {
+        if let Some(pass) = kernels.iter().position(|k| k.barrier_dependence()) {
+            return Err(FuseRefusal::BarrierNotCoResident { pass, waves });
+        }
+    }
 
-    // One work partition shared by every pass.
-    let ranges = partition_ranges(primary.len(), launch.total_threads(), rec);
+    // GPU pools: addr-gen and compute each get half the issue throughput
+    // (the overlap-only variant launches no addr-gen warps). Devices are
+    // homogeneous (see `Machine::replicate_gpus`), so one pool pair models
+    // any of them.
+    let pool_fraction = if cfg.transfer_all { 1.0 } else { 0.5 };
+    let ag_pool = GpuPool::new(machine.gpu().clone(), pool_fraction, occ_factor);
+    let comp_pool = GpuPool::new(machine.gpu().clone(), pool_fraction, occ_factor);
+
+    // One work partition over the window (the whole stream in batch mode),
+    // shared by every pass and offset back to absolute stream positions:
+    // kernels, chunk slicing and the FIFO cross-check all speak absolute
+    // offsets into `streams[0]`.
+    let ranges: Vec<Range<u64>> =
+        partition_ranges(window.end - window.start, launch.total_threads(), rec)
+            .into_iter()
+            .map(|r| r.start + window.start..r.end + window.start)
+            .collect();
+
+    // Chunking: each block consumes ~chunk_input_bytes of input per chunk.
+    // Mutable because the autotuner may re-plan the chunk size at a wave
+    // boundary (never mid-wave — a wave boundary is the only point with no
+    // chunk in flight).
     let unit = rec.unwrap_or(1);
     let max_range = ranges.iter().map(|r| r.end - r.start).max().unwrap_or(0);
     let lane_slice = |chunk_bytes: u64| ((chunk_bytes / tpb as u64) / unit).max(1) * unit;
@@ -867,28 +629,49 @@ pub fn run_bigkernel_fused(
     metrics.add("launch.threads", launch.total_threads() as u64);
     metrics.add("run.chunks_per_block", num_chunks as u64);
     metrics.add("run.devices", machine.num_gpus() as u64);
-    metrics.add("fusion.passes", passes as u64);
-    metrics.add("fusion.resident_bytes_per_chunk", resident_bytes);
-    metrics.add("fusion.scratch_bytes", plan.scratch_stream_bytes(streams));
+    if let Some(plan) = fuse {
+        metrics.add("fusion.passes", passes as u64);
+        metrics.add("fusion.resident_bytes_per_chunk", resident_bytes);
+        metrics.add("fusion.scratch_bytes", plan.scratch_stream_bytes(streams));
+    }
 
+    // The schedule is a stage-graph configuration: stages, resources, edges
+    // and the §IV.C reuse rule are data, and the executor deals chunks
+    // across the machine's simulated GPUs. Each device owns its buffer
+    // pool, so the reuse depth applies within a device's local chunk
+    // sequence. A fused program runs on the `6 × passes` graph, whose
+    // `p<p>.`-prefixed stage names key its `stall.<stage>.*` metrics.
     let copy_engines = machine.gpu().copy_engines as usize;
-    let spec = fused_graph_depths(copy_engines, passes, cfg.buffer_depth, cfg.wb_depth());
-    let mut executor = Executor::new(spec, machine.num_gpus(), cfg.shard_policy);
+    let graph = |depth: usize, wb_depth: usize| match fuse {
+        Some(_) => fused_graph_depths(copy_engines, passes, depth, wb_depth),
+        None => bigkernel_graph_depths(copy_engines, depth, wb_depth),
+    };
+    let gpus = machine.num_gpus();
+    let new_executor = |spec: GraphSpec| Executor::new(spec, gpus, cfg.shard_policy);
+    let mut executor = new_executor(graph(cfg.buffer_depth, cfg.wb_depth()));
 
-    let mut fault_ctx = cfg.faults.clone().map(|fplan| {
-        FaultContext::new_fused(
-            fplan,
-            machine.num_gpus(),
-            cfg.shard_policy,
-            copy_engines,
-            passes,
-            cfg.buffer_depth,
-            cfg.wb_depth(),
-        )
+    // Fault injection (see [`crate::fault`]): when a plan is configured the
+    // fault context replaces `executor.run` per window — inflating
+    // durations with retries, requeuing chunks off a dead device and
+    // degrading down its graph ladder (full depth → depth 1 → serial, each
+    // rung keeping the run's stage shape) when a stage exhausts its budget.
+    // Either way the functional simulation below is identical: faults
+    // perturb timing and placement only.
+    let mut fault_ctx = cfg.faults.clone().map(|plan| {
+        let serial = match fuse {
+            Some(_) => fused_serial_graph(passes),
+            None => serial_graph(&STAGE_NAMES),
+        };
+        let ladder = [graph(cfg.buffer_depth, cfg.wb_depth()), graph(1, 1), serial];
+        FaultContext::new(plan, gpus, cfg.shard_policy, ladder)
     });
 
-    // The autotuner composes unchanged: its feasibility cap already accounts
-    // for the resident intermediates, and re-plans rebuild the *fused* graph.
+    // Adaptive occupancy autotuning (see [`crate::autotune`]): the §IV.D
+    // buffer-set budget caps how many buffer sets per active block the
+    // device can hold, and the controller re-plans reuse depths / chunk
+    // size within that cap from recorded schedule state only. Blame-ranked
+    // feedback walks the window's critical path; raw-stall feedback (the
+    // default) only sums per-slot stall counters.
     let blame_rank = cfg
         .autotune
         .as_ref()
@@ -901,22 +684,10 @@ pub fn run_bigkernel_fused(
                 wb_depth: cfg.wb_depth(),
                 chunk_bytes: cfg.chunk_input_bytes,
             },
-            feasible_sets,
+            feasible_sets.max(1),
         )
     });
 
-    let waves = launch.num_blocks.div_ceil(active_blocks);
-    // Passes that read device state accumulated by an earlier pass need a
-    // global pass barrier. The pass-major functional order below provides
-    // one per wave — all of pass p's chunks run before pass p+1's — but a
-    // second wave would count against state its own pass-0 front has not
-    // produced yet. Fusing such programs is therefore only legal when the
-    // launch is a single co-resident wave (persistent blocks).
-    if waves > 1 {
-        if let Some(pass) = kernels.iter().position(|k| k.barrier_dependence()) {
-            return Err(FuseRefusal::BarrierNotCoResident { pass, waves });
-        }
-    }
     let mut total = SimTime::ZERO;
     let mut stage_stats = Vec::new();
     let mut total_chunks = 0usize;
@@ -924,14 +695,34 @@ pub fn run_bigkernel_fused(
         .map(|_| BlockSlot::new())
         .collect();
 
+    // Overlap-only with secondary streams: stage each whole aux stream to a
+    // device buffer up front (see [`StagedAux`]).
+    let mut aux = StagedAux::empty();
+    if cfg.transfer_all && streams.len() > 1 {
+        for s in &streams[1..] {
+            let buf = machine.gmem.alloc(s.len().max(1));
+            let src = machine.hmem.read(s.region, 0, s.len() as usize).to_vec();
+            machine.gmem.dma_in(buf, 0, &src);
+            metrics.add("pcie.h2d_bytes", s.len());
+            aux.pending_xfer += machine
+                .link
+                .dma_time_with_flag(DmaDirection::HostToDevice, s.len());
+            aux.table.push((s.id, buf));
+        }
+    }
+
     let mut seen_fault_level = 0usize;
     for wave in 0..waves {
+        // Wave-boundary chunk-size re-plan: buffers swap between windows,
+        // but the chunk granularity only changes where nothing is in
+        // flight. Purely a re-chunking of each block's lane ranges — every
+        // record is still processed exactly once, so outputs are unchanged.
         if wave > 0 {
             if let Some(tuner) = tuner.as_mut() {
-                if let Some(p) = tuner.plan_wave(num_chunks) {
-                    per_lane_slice = lane_slice(p.chunk_bytes);
+                if let Some(plan) = tuner.plan_wave(num_chunks) {
+                    per_lane_slice = lane_slice(plan.chunk_bytes);
                     num_chunks = chunks_for(per_lane_slice);
-                    note_retune(&mut metrics, p, total_chunks, total, SimTime::ZERO);
+                    note_retune(&mut metrics, plan, total_chunks, total, SimTime::ZERO);
                 }
             }
         }
@@ -946,16 +737,12 @@ pub fn run_bigkernel_fused(
         // pass 1 reads its output (covered reads are lane-local, so waves
         // never race ahead of their inputs).
         let mut durations: Vec<Vec<SimTime>> = Vec::with_capacity(passes * num_chunks);
-        for (p, kernel) in kernels.iter().enumerate() {
-            let logged = kernel.device_effects() == DeviceEffects::Replayable;
-            let parallel = logged && cfg.parallel_blocks;
+        for (p, &kernel) in kernels.iter().enumerate() {
+            let io = fuse.map(|plan| &plan.io[p]);
             for chunk in 0..num_chunks {
-                // Fused execution is assembled-only (asserted above), so no
-                // aux staging table exists.
-                let mut no_aux = StagedAux::empty();
                 let stages = simulate_chunk(
                     machine,
-                    *kernel,
+                    kernel,
                     streams,
                     &ranges,
                     &blocks,
@@ -964,10 +751,8 @@ pub fn run_bigkernel_fused(
                     num_chunks,
                     launch,
                     cfg,
-                    Some(&plan.io[p]),
-                    &mut no_aux,
-                    logged,
-                    parallel,
+                    io,
+                    &mut aux,
                     &ag_pool,
                     &comp_pool,
                     &sync_costs,
@@ -979,80 +764,104 @@ pub fn run_bigkernel_fused(
             }
         }
 
-        match tuner.as_mut() {
-            None => {
-                let sharded = match fault_ctx.as_mut() {
-                    Some(fc) => {
-                        fc.run_wave(wave as usize, total_chunks, total, &durations, &mut metrics)
+        // Schedule the wave in windows. Untuned, the window is the whole
+        // wave. Tuned, each window drains the pipeline (re-planning swaps
+        // buffer allocations, so it needs a quiesce point — the honest cost
+        // of adapting), gets measured, and may trigger a re-plan that takes
+        // effect from the next window. Once the controller converges the
+        // window widens to the rest of the wave and the drain overhead
+        // stops.
+        let mut idx = 0usize;
+        while idx < durations.len() {
+            let left = durations.len() - idx;
+            let win = tuner.as_ref().map_or(left, |t| t.window_len().min(left));
+            let rows = &durations[idx..idx + win];
+            let sharded = match fault_ctx.as_mut() {
+                Some(fc) => fc.run_wave(wave as usize, total_chunks, total, rows, &mut metrics),
+                None => executor.run(rows),
+            };
+            // Observability: spans (when a trace guard is live), per-stage
+            // span histograms, stall.<stage>.<cause> totals and device.<d>.*
+            // counters, offset into run-global chunk indices / simulated
+            // time. Windows run back to back, so the running `total` is this
+            // window's time base.
+            sharded.record(total_chunks, total, &mut metrics);
+            total += sharded.makespan();
+            sharded.accumulate(&mut stage_stats);
+            total_chunks += win;
+            idx += win;
+
+            let Some(tuner) = tuner.as_mut() else {
+                continue;
+            };
+            let fb = if blame_rank {
+                WindowFeedback::from_sharded_with_blame(&sharded)
+            } else {
+                WindowFeedback::from_sharded(&sharded)
+            };
+            metrics.incr("autotune.windows");
+            let window_stall = fb.data_reuse_stall + fb.wb_reuse_stall;
+            // Degradation first: if the fault ladder swapped the graph
+            // during this window, the controller adopts the degraded depths
+            // and keeps tuning *that* graph.
+            if let Some(fc) = fault_ctx.as_mut() {
+                if fc.level() > seen_fault_level {
+                    seen_fault_level = fc.level();
+                    if let Some(plan) = tuner.on_degraded(seen_fault_level) {
+                        note_retune(&mut metrics, plan, total_chunks, total, window_stall);
                     }
-                    None => executor.run(&durations),
-                };
-                sharded.record(total_chunks, total, &mut metrics);
-                total += sharded.makespan();
-                sharded.accumulate(&mut stage_stats);
-                total_chunks += durations.len();
+                }
             }
-            Some(tuner) => {
-                let mut idx = 0usize;
-                while idx < durations.len() {
-                    let win = tuner.window_len().min(durations.len() - idx);
-                    let rows = &durations[idx..idx + win];
-                    let sharded = match fault_ctx.as_mut() {
-                        Some(fc) => {
-                            fc.run_wave(wave as usize, total_chunks, total, rows, &mut metrics)
-                        }
-                        None => executor.run(rows),
-                    };
-                    sharded.record(total_chunks, total, &mut metrics);
-                    let fb = if blame_rank {
-                        WindowFeedback::from_sharded_with_blame(&sharded)
-                    } else {
-                        WindowFeedback::from_sharded(&sharded)
-                    };
-                    total += sharded.makespan();
-                    sharded.accumulate(&mut stage_stats);
-                    total_chunks += win;
-                    idx += win;
-                    metrics.incr("autotune.windows");
-                    let window_stall = fb.data_reuse_stall + fb.wb_reuse_stall;
-                    if let Some(fc) = fault_ctx.as_mut() {
-                        if fc.level() > seen_fault_level {
-                            seen_fault_level = fc.level();
-                            if let Some(p) = tuner.on_degraded(seen_fault_level) {
-                                note_retune(&mut metrics, p, total_chunks, total, window_stall);
-                            }
-                        }
+            if let Some(plan) = tuner.observe(&fb) {
+                note_retune(&mut metrics, plan, total_chunks, total, window_stall);
+                let spec = graph(plan.data_depth, plan.wb_depth);
+                match fault_ctx.as_mut() {
+                    Some(fc) => {
+                        fc.retune_current(spec);
                     }
-                    if let Some(p) = tuner.observe(&fb) {
-                        note_retune(&mut metrics, p, total_chunks, total, window_stall);
-                        let spec =
-                            fused_graph_depths(copy_engines, passes, p.data_depth, p.wb_depth);
-                        match fault_ctx.as_mut() {
-                            Some(fc) => {
-                                fc.retune_current(spec);
-                            }
-                            None => {
-                                executor =
-                                    Executor::new(spec, machine.num_gpus(), cfg.shard_policy);
-                            }
-                        }
-                    }
+                    None => executor = new_executor(spec),
                 }
             }
         }
     }
 
+    // Flush dirty aux streams back to host and free the staged buffers. The
+    // flush is a serial drain tail after the last chunk retires: one d2h DMA
+    // plus the host-side apply per dirty stream.
+    for (i, (id, buf)) in aux.table.iter().enumerate() {
+        let s = &streams[id.0 as usize];
+        if aux.dirty & (1u64 << (i as u64).min(63)) != 0 {
+            let bytes = machine.gmem.dma_out(*buf, 0, s.len() as usize);
+            machine.hmem.write(s.region, 0, &bytes);
+            metrics.add("pcie.d2h_bytes", s.len());
+            total += machine
+                .link
+                .dma_time_with_flag(DmaDirection::DeviceToHost, s.len());
+            let apply = CpuCost::streaming(s.len(), 2, 1);
+            total += cpu::cpu_stage_terms(&machine.cpu, &apply, 1).duration();
+        }
+        machine.gmem.free(*buf);
+    }
+
     finalize_stage_stats(&mut stage_stats, total_chunks);
     metrics.add("run.waves", waves as u64);
     if let Some(tuner) = tuner.as_ref() {
-        let p = tuner.plan();
-        metrics.add("autotune.depth", p.data_depth as u64);
-        metrics.add("autotune.buffers", p.wb_depth as u64);
-        metrics.add("autotune.chunk_bytes", p.chunk_bytes);
+        let plan = tuner.plan();
+        metrics.add("autotune.depth", plan.data_depth as u64);
+        metrics.add("autotune.buffers", plan.wb_depth as u64);
+        metrics.add("autotune.chunk_bytes", plan.chunk_bytes);
     }
 
     Ok(RunResult {
-        implementation: "bigkernel-fused",
+        implementation: if fuse.is_some() {
+            "bigkernel-fused"
+        } else if cfg.transfer_all {
+            "bigkernel-overlap-only"
+        } else if cfg.layout == crate::config::AssemblyLayout::PerLane {
+            "bigkernel-volume-reduction"
+        } else {
+            "bigkernel"
+        },
         total,
         stages: stage_stats,
         metrics,

@@ -56,10 +56,10 @@ use crate::autotune::{AutotuneConfig, Autotuner, TunePlan, WindowFeedback};
 use crate::config::BigKernelConfig;
 use crate::kernel::{LaunchConfig, StreamKernel};
 use crate::machine::Machine;
-use crate::pipeline::run_bigkernel_window;
+use crate::pipeline::{block_occupancy, note_retune, run_bigkernel_window};
 use crate::stream::StreamArray;
-use bk_gpu::occupancy::{self, BlockResources};
-use bk_obs::{MetricsRegistry, SpanRecord, StallCause, REDETECT_MARKER_STAGE, RETUNE_MARKER_STAGE};
+use bk_gpu::occupancy;
+use bk_obs::{MetricsRegistry, SpanRecord, StallCause, REDETECT_MARKER_STAGE};
 use bk_simcore::SimTime;
 use std::ops::Range;
 
@@ -236,29 +236,6 @@ fn drift_exceeds(prev: &[f64; 4], cur: &[f64; 4], threshold: f64) -> bool {
     })
 }
 
-/// Log one stream-level re-plan (mirrors the batch runner's bookkeeping):
-/// decision counters plus a [`RETUNE_MARKER_STAGE`] instant at the window
-/// boundary the new plan takes effect.
-fn note_stream_retune(
-    metrics: &mut MetricsRegistry,
-    plan: TunePlan,
-    next_window: usize,
-    at: SimTime,
-    reuse_stall: SimTime,
-) {
-    metrics.incr("autotune.retune");
-    metrics.observe("hist.autotune.depth", plan.data_depth as u64);
-    metrics.observe("hist.autotune.buffers", plan.wb_depth as u64);
-    bk_obs::trace::record(&SpanRecord {
-        track: "autotune",
-        stage: RETUNE_MARKER_STAGE,
-        chunk: next_window,
-        start: at,
-        dur: SimTime::ZERO,
-        stall: Some(("buffer-reuse", reuse_stall)),
-    });
-}
-
 /// Run a (possibly multi-pass) program over `streams` as a continuous
 /// stream: `source` delivers the primary stream's bytes over simulated time,
 /// `scfg.policy` windows them, and each window runs the batch pipeline under
@@ -310,12 +287,9 @@ pub fn run_bigkernel_streamed(
         .clone()
         .or_else(|| cfg.autotune.clone())
         .map(|tcfg| {
-            let base_res = kernels[0].resources();
-            let doubled = BlockResources {
-                threads_per_block: (base_res.threads_per_block.max(launch.threads_per_block)) * 2,
-                ..base_res
-            };
-            let occ = occupancy::compute(machine.gpu(), &doubled, launch.num_blocks);
+            // The cap counts the first pass's blocks with their addr-gen
+            // warps, whatever the window config.
+            let (occ, _) = block_occupancy(machine, &kernels[..1], launch, true);
             let feasible =
                 occupancy::max_buffer_sets(machine.gpu(), &occ, cfg.chunk_input_bytes.max(1));
             Autotuner::new(tcfg, plan, feasible)
@@ -415,11 +389,11 @@ pub fn run_bigkernel_streamed(
             let window_stall = fb.data_reuse_stall + fb.wb_reuse_stall;
             if let Some(p) = t.observe(&fb) {
                 plan = p;
-                note_stream_retune(&mut metrics, p, w + 1, adm.completed, window_stall);
+                note_retune(&mut metrics, p, w + 1, adm.completed, window_stall);
             }
             if let Some(p) = t.plan_wave(window_chunks) {
                 plan = p;
-                note_stream_retune(&mut metrics, p, w + 1, adm.completed, SimTime::ZERO);
+                note_retune(&mut metrics, p, w + 1, adm.completed, SimTime::ZERO);
             }
         }
 
