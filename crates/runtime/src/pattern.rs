@@ -221,8 +221,19 @@ pub(crate) fn detect_from(entries: &[AddrEntry], lo: usize, max_period: usize) -
         return None; // nothing worth compressing
     }
     let window = entries.len().min(DETECT_WINDOW);
+    // Shape-change bound: if entry `q` is the first whose (stream, width)
+    // differs from entry 0's, no period `p <= q` can match — entry `q` would
+    // have to repeat entry `q mod p`, which lies before `q` and so has entry
+    // 0's shape. Skipping those periods never changes the result: each of
+    // them could only `continue` or hit the window `break`, which fires for
+    // every larger period too.
+    let first = (entries[0].stream, entries[0].width);
+    let lo = match entries.iter().position(|e| (e.stream, e.width) != first) {
+        Some(q) => lo.max(q + 1),
+        None => lo,
+    };
 
-    'period: for p in lo..=max_period {
+    for p in lo..=max_period {
         // Need at least two full cycles inside the window to call it a
         // candidate (one cycle to establish the strides, one to confirm).
         if 2 * p > window {
@@ -246,7 +257,7 @@ pub(crate) fn detect_from(entries: &[AddrEntry], lo: usize, max_period: usize) -
                 && b.stream == c.stream
                 && (b.offset as i64 - a.offset as i64) == (c.offset as i64 - b.offset as i64)
         });
-        if !quick_ok {
+        if !quick_ok || !period_matches(entries, p) {
             continue;
         }
         let mut streams = Vec::with_capacity(p);
@@ -266,10 +277,6 @@ pub(crate) fn detect_from(entries: &[AddrEntry], lo: usize, max_period: usize) -
             widths,
             count: entries.len(),
         };
-        // Verify every entry (window and beyond).
-        if !cand.matches(entries) {
-            continue 'period;
-        }
         // Profitability: never ship a descriptor bigger than the raw
         // addresses it replaces (larger periods only get bigger — stop).
         if cand.encoded_bytes() >= entries.len() as u64 * ADDR_ENTRY_BYTES {
@@ -278,6 +285,31 @@ pub(crate) fn detect_from(entries: &[AddrEntry], lo: usize, max_period: usize) -
         return Some(cand);
     }
     None
+}
+
+/// Whether the period-`p` candidate defined by the first two cycles (cycle
+/// position `j`: base `entries[j]`, stride `entries[j + p] - entries[j]`)
+/// reproduces every entry — [`Pattern::matches`] on the candidate, checked
+/// in place with a rolling (cycle position, cycle number) cursor so that
+/// rejected periods cost no allocation and no per-entry division. The first
+/// two cycles define the candidate and match by construction.
+fn period_matches(entries: &[AddrEntry], p: usize) -> bool {
+    let (mut j, mut m) = (0usize, 2i64);
+    for e in &entries[2 * p..] {
+        let (a, b) = (&entries[j], &entries[j + p]);
+        if !(a.stream == e.stream
+            && a.width == e.width
+            && a.offset as i64 + m * (b.offset as i64 - a.offset as i64) == e.offset as i64)
+        {
+            return false;
+        }
+        j += 1;
+        if j == p {
+            j = 0;
+            m += 1;
+        }
+    }
+    true
 }
 
 /// Online promotion work budget. After a candidate dies the detector
@@ -387,7 +419,6 @@ impl OnlineDetect {
         self.budget = ONLINE_BUDGET;
     }
 
-    /// Entries seen so far.
     /// Entries fed so far.
     pub fn len(&self) -> usize {
         self.n
@@ -577,6 +608,84 @@ mod tests {
 
     fn seq(start: u64, stride: u64, w: u32, n: usize) -> Vec<AddrEntry> {
         (0..n as u64).map(|i| e(start + i * stride, w)).collect()
+    }
+
+    /// Reference oracle for [`detect`]: the plain scan with no early exits —
+    /// every period from 1 builds its candidate and verifies it with
+    /// [`Pattern::matches`].
+    pub(super) fn detect_reference(entries: &[AddrEntry], max_period: usize) -> Option<Pattern> {
+        if entries.len() < 2 {
+            return None;
+        }
+        let window = entries.len().min(DETECT_WINDOW);
+        for p in 1..=max_period {
+            if 2 * p > window {
+                break;
+            }
+            if entries.len() < 3 * p {
+                continue;
+            }
+            let quick_ok = (0..p).all(|j| {
+                let (a, b, c) = (&entries[j], &entries[j + p], &entries[j + 2 * p]);
+                a.width == b.width
+                    && b.width == c.width
+                    && a.stream == b.stream
+                    && b.stream == c.stream
+                    && (b.offset as i64 - a.offset as i64) == (c.offset as i64 - b.offset as i64)
+            });
+            if !quick_ok {
+                continue;
+            }
+            let mut streams = Vec::with_capacity(p);
+            let mut bases = Vec::with_capacity(p);
+            let mut strides = Vec::with_capacity(p);
+            let mut widths = Vec::with_capacity(p);
+            for j in 0..p {
+                streams.push(entries[j].stream);
+                bases.push(entries[j].offset);
+                widths.push(entries[j].width);
+                strides.push(entries[j + p].offset as i64 - entries[j].offset as i64);
+            }
+            let cand = Pattern {
+                streams,
+                bases,
+                strides,
+                widths,
+                count: entries.len(),
+            };
+            if !cand.matches(entries) {
+                continue;
+            }
+            if cand.encoded_bytes() >= entries.len() as u64 * ADDR_ENTRY_BYTES {
+                break;
+            }
+            return Some(cand);
+        }
+        None
+    }
+
+    #[test]
+    fn shape_change_bound_keeps_long_record_cycles() {
+        // The first width change sits at index 1 (timestamp, then text), so
+        // period 1 is skipped; the record cycle of 184 must still be found,
+        // as must a shorter cycle whose first change is its last position.
+        let mut tweets = Vec::new();
+        for r in 0..6u64 {
+            tweets.push(e(r * 256, 4));
+            tweets.extend((0..183u64).map(|i| e(r * 256 + 64 + i, 1)));
+        }
+        let p = detect(&tweets, MAX_PERIOD).expect("record cycle");
+        assert_eq!(p.period(), 184);
+        assert_eq!(Some(p), detect_reference(&tweets, MAX_PERIOD));
+
+        let mut tail_change = Vec::new();
+        for r in 0..10u64 {
+            tail_change.extend((0..5u64).map(|i| e(r * 100 + i * 8, 8)));
+            tail_change.push(e(r * 100 + 40, 2));
+        }
+        let p = detect(&tail_change, MAX_PERIOD).expect("period 6");
+        assert_eq!(p.period(), 6);
+        assert_eq!(Some(p), detect_reference(&tail_change, MAX_PERIOD));
     }
 
     #[test]
@@ -884,6 +993,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::detect_reference;
     use super::*;
     use proptest::prelude::*;
 
@@ -1024,6 +1134,96 @@ mod proptests {
 
     fn arb_mixed() -> impl Strategy<Value = Vec<AddrEntry>> {
         proptest::collection::vec(arb_segment(), 1..4).prop_map(|segs| segs.concat())
+    }
+
+    /// A mixed stream flattened to one `(stream, width)` shape, so the
+    /// shape-change bound never applies and only offsets decide.
+    fn arb_uniform() -> impl Strategy<Value = Vec<AddrEntry>> {
+        (arb_mixed(), proptest::sample::select(vec![1u32, 2, 4, 8])).prop_map(|(mut v, w)| {
+            for e in &mut v {
+                e.stream = crate::stream::StreamId(0);
+                e.width = w;
+            }
+            v
+        })
+    }
+
+    /// A record walk whose first `(stream, width)` change falls at index
+    /// `q` of the cycle (`q` in 1..32): positions before `q` share entry 0's
+    /// shape, position `q` differs in width or stream, later positions are
+    /// free. Optionally one entry is then knocked off the walk: its offset
+    /// bumped, or its stream or width flipped.
+    fn arb_shape_change() -> impl Strategy<Value = Vec<AddrEntry>> {
+        (1usize..32, 1usize..24).prop_flat_map(|(q, extra)| {
+            let p = q + extra;
+            (
+                proptest::collection::vec(0u64..512, p),
+                proptest::collection::vec(proptest::sample::select(vec![1u32, 2, 4, 8]), p),
+                (0u32..2, 2usize..8, 1u64..4096),
+                (0usize..4096, 0u32..4),
+            )
+                .prop_map(
+                    move |(offs, mut widths, (by_stream, cycles, stride), (victim, knock))| {
+                        let mut streams = vec![crate::stream::StreamId(0); p];
+                        widths[..q].fill(4);
+                        if by_stream == 1 {
+                            widths[q] = 4;
+                            streams[q] = crate::stream::StreamId(1);
+                        } else if widths[q] == 4 {
+                            widths[q] = 1;
+                        }
+                        let mut v: Vec<AddrEntry> = (0..cycles * p)
+                            .map(|k| AddrEntry {
+                                stream: streams[k % p],
+                                offset: offs[k % p] + (k / p) as u64 * stride,
+                                width: widths[k % p],
+                            })
+                            .collect();
+                        let x = &mut v[victim % (cycles * p)];
+                        match knock {
+                            0 => {}
+                            1 => x.offset += 1,
+                            2 => x.stream = crate::stream::StreamId(2),
+                            _ => x.width = if x.width == 8 { 2 } else { 8 },
+                        }
+                        v
+                    },
+                )
+        })
+    }
+
+    proptest! {
+        /// The early-exit scan agrees with the plain reference scan on mixed
+        /// streams, single segments and uniform-shape streams.
+        #[test]
+        fn detect_matches_reference_on_mixed(entries in arb_mixed()) {
+            prop_assert_eq!(detect(&entries, MAX_PERIOD), detect_reference(&entries, MAX_PERIOD));
+        }
+
+        #[test]
+        fn detect_matches_reference_on_segments(entries in arb_segment()) {
+            prop_assert_eq!(detect(&entries, MAX_PERIOD), detect_reference(&entries, MAX_PERIOD));
+        }
+
+        #[test]
+        fn detect_matches_reference_on_uniform_shapes(entries in arb_uniform()) {
+            prop_assert_eq!(detect(&entries, MAX_PERIOD), detect_reference(&entries, MAX_PERIOD));
+        }
+    }
+
+    proptest! {
+        // More cases: a knocked-off entry past the third cycle (the only
+        // place the in-place check alone can catch it) is a minority draw.
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// ...and on record walks whose first shape change sits at each index
+        /// of a short prefix, under a small and the default period cap.
+        #[test]
+        fn detect_matches_reference_past_a_shape_change(entries in arb_shape_change()) {
+            for cap in [8, MAX_PERIOD] {
+                prop_assert_eq!(detect(&entries, cap), detect_reference(&entries, cap));
+            }
+        }
     }
 
     proptest! {

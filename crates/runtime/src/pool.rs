@@ -367,21 +367,21 @@ fn commit_side(
         };
         if let Some(p) = found {
             // Long cycles (e.g. a phase super-pattern) can encode worse than
-            // piecewise compression; pick the smaller.
+            // piecewise compression; pick the smaller. The cap makes the
+            // segmented scan return only a strictly smaller stream, and stop
+            // as soon as it cannot produce one.
             if cfg.segmented_patterns && p.period() > 16 {
                 det.materialize(buf);
-                if let Some(seg) = detect_segmented(buf, MAX_PERIOD) {
-                    if seg.encoded_bytes() < p.encoded_bytes() {
-                        pool.give_pattern(p);
-                        return (AddrStream::Segmented(seg), Compression::Segmented);
-                    }
+                if let Some(seg) = detect_segmented(buf, MAX_PERIOD, p.encoded_bytes()) {
+                    pool.give_pattern(p);
+                    return (AddrStream::Segmented(seg), Compression::Segmented);
                 }
             }
             return (AddrStream::Pattern(p), Compression::Pattern);
         }
         // No whole-stream pattern: the buffer holds the complete raw stream.
         if cfg.segmented_patterns {
-            if let Some(s) = detect_segmented(buf, MAX_PERIOD) {
+            if let Some(s) = detect_segmented(buf, MAX_PERIOD, u64::MAX) {
                 return (AddrStream::Segmented(s), Compression::Segmented);
             }
         }
@@ -482,6 +482,32 @@ mod tests {
         assert_eq!(s.len(), 400);
         for (k, &want) in entries.iter().enumerate() {
             assert_eq!(s.entry(k), want, "k={k}");
+        }
+    }
+
+    #[test]
+    fn opinion_shaped_lane_keeps_its_whole_stream_pattern() {
+        // Six 256-byte tweet records: a 4-byte timestamp, then 183 one-byte
+        // text reads from offset 64 (Opinion Finder's walk). The period-184
+        // cycle is two run-length groups (48 bytes); the capped segmented
+        // scan must give up and keep it.
+        let cfg = BigKernelConfig::default();
+        let mut scratch = AddrGenScratch::new();
+        let mut entries = Vec::new();
+        for r in 0..6u64 {
+            entries.push(e(r * 256, 4));
+            entries.extend((0..183u64).map(|i| e(r * 256 + 64 + i, 1)));
+        }
+        record_lane(&mut scratch, cfg.pattern_recognition, &entries);
+        let (s, c) = scratch.commit_reads(&cfg);
+        assert_eq!(c, Compression::Pattern);
+        match &s {
+            AddrStream::Pattern(p) => {
+                assert_eq!(p.period(), 184);
+                assert_eq!(p.encoded_bytes(), 48);
+                assert!(p.matches(&entries));
+            }
+            other => panic!("expected pattern, got {other:?}"),
         }
     }
 

@@ -22,7 +22,7 @@ pub const MIN_SEGMENT: usize = 48;
 pub const PIECE_HEADER_BYTES: u64 = 4;
 
 /// One piece of a segmented stream.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Piece {
     /// A compressed run described by a [`Pattern`].
     Pattern(Pattern),
@@ -68,7 +68,7 @@ impl Piece {
 }
 
 /// A piecewise-compressed address stream.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SegmentedStream {
     /// `(first ordinal, piece)`, ordinals strictly increasing.
     pieces: Vec<(usize, Piece)>,
@@ -193,11 +193,24 @@ impl ExactSizeIterator for SegmentedIter<'_> {}
 /// Greedy piecewise detection. Returns `None` when the stream is too short
 /// or ends up as a single raw piece (callers keep the plain raw vector in
 /// that case — no reason to pay the segmented indirection).
-pub fn detect_segmented(entries: &[AddrEntry], max_period: usize) -> Option<SegmentedStream> {
+///
+/// `limit` is a profitability cap: the result is `None` whenever the stream
+/// it would return encodes at `limit` bytes or more, and is otherwise the
+/// same stream the uncapped scan (`u64::MAX`) returns. The scan stops as
+/// soon as the pieces already committed plus the pending raw run reach the
+/// cap — pieces are only ever appended and the pending run only grows into
+/// a raw piece of at least its current length, so the final encoding could
+/// not have come in under it.
+pub fn detect_segmented(
+    entries: &[AddrEntry],
+    max_period: usize,
+    limit: u64,
+) -> Option<SegmentedStream> {
     if entries.len() < MIN_SEGMENT {
         return None;
     }
     let mut pieces: Vec<(usize, Piece)> = Vec::new();
+    let mut committed = 0u64; // encoded bytes of `pieces`
     let mut raw_start = 0usize; // start of the pending raw run
     let mut i = 0usize;
 
@@ -207,6 +220,16 @@ pub fn detect_segmented(entries: &[AddrEntry], max_period: usize) -> Option<Segm
     let windows = [DETECT_WINDOW, DETECT_WINDOW / 4, MIN_SEGMENT];
 
     'outer: while i < entries.len() {
+        // The result takes at least the pieces so far plus the pending raw
+        // run, which can only grow into a raw piece.
+        let pending = if i > raw_start {
+            PIECE_HEADER_BYTES + (i - raw_start) as u64 * ADDR_ENTRY_BYTES
+        } else {
+            0
+        };
+        if committed + pending >= limit {
+            return None;
+        }
         for w in windows {
             let window_end = (i + w).min(entries.len());
             if window_end - i < MIN_SEGMENT.min(w) {
@@ -229,6 +252,7 @@ pub fn detect_segmented(entries: &[AddrEntry], max_period: usize) -> Option<Segm
                         pieces.push((raw_start, Piece::Raw(entries[raw_start..i].to_vec())));
                     }
                     p.count = count;
+                    committed += pending + PIECE_HEADER_BYTES + p.encoded_bytes();
                     pieces.push((i, Piece::Pattern(p)));
                     i += count;
                     raw_start = i;
@@ -246,10 +270,11 @@ pub fn detect_segmented(entries: &[AddrEntry], max_period: usize) -> Option<Segm
     if pieces.len() == 1 && matches!(pieces[0].1, Piece::Raw(_)) {
         return None;
     }
-    Some(SegmentedStream {
+    let s = SegmentedStream {
         pieces,
         total: entries.len(),
-    })
+    };
+    (s.encoded_bytes() < limit).then_some(s)
 }
 
 fn pattern_matches_at(p: &Pattern, k: usize, e: &AddrEntry) -> bool {
@@ -282,7 +307,7 @@ mod tests {
         let mut entries = seq(0, 8, 8, 200);
         entries.extend(seq(1 << 20, 16, 4, 200));
         assert!(detect(&entries, 8).is_none(), "whole-stream must fail");
-        let s = detect_segmented(&entries, 8).expect("segmented must succeed");
+        let s = detect_segmented(&entries, 8, u64::MAX).expect("segmented must succeed");
         assert_eq!(s.len(), 400);
         assert_eq!(s.num_pieces(), 2);
         assert!(s.pattern_coverage() > 0.99, "{}", s.pattern_coverage());
@@ -300,7 +325,7 @@ mod tests {
         // 60 irregular accesses (hash-like).
         entries.extend((0..60u64).map(|i| e((i.wrapping_mul(2654435761)) % 4096 * 8, 8)));
         entries.extend(seq(1 << 20, 8, 8, 100));
-        let s = detect_segmented(&entries, 8).expect("segmented");
+        let s = detect_segmented(&entries, 8, u64::MAX).expect("segmented");
         assert_eq!(s.len(), 260);
         assert!(s.num_pieces() >= 3, "{}", s.num_pieces());
         for (k, &want) in entries.iter().enumerate() {
@@ -315,18 +340,18 @@ mod tests {
         let entries: Vec<AddrEntry> = (0..200u64)
             .map(|i| e((i.wrapping_mul(0x9E3779B9)) % (1 << 20), 8))
             .collect();
-        assert!(detect_segmented(&entries, 8).is_none());
+        assert!(detect_segmented(&entries, 8, u64::MAX).is_none());
     }
 
     #[test]
     fn short_streams_return_none() {
-        assert!(detect_segmented(&seq(0, 8, 8, MIN_SEGMENT - 1), 8).is_none());
+        assert!(detect_segmented(&seq(0, 8, 8, MIN_SEGMENT - 1), 8, u64::MAX).is_none());
     }
 
     #[test]
     fn fully_regular_stream_is_one_pattern_piece() {
         let entries = seq(0, 8, 8, 500);
-        let s = detect_segmented(&entries, 8).expect("segmented");
+        let s = detect_segmented(&entries, 8, u64::MAX).expect("segmented");
         assert_eq!(s.num_pieces(), 1);
         assert_eq!(s.pattern_coverage(), 1.0);
         assert_eq!(s.encoded_bytes(), PIECE_HEADER_BYTES + 28);
@@ -343,13 +368,13 @@ mod tests {
                 (0..20u64).map(|i| e(((i + phase).wrapping_mul(2654435761)) % (1 << 20), 8)),
             );
         }
-        assert!(detect_segmented(&entries, 8).is_none());
+        assert!(detect_segmented(&entries, 8, u64::MAX).is_none());
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn entry_out_of_range_panics() {
-        let s = detect_segmented(&seq(0, 8, 8, 100), 8).unwrap();
+        let s = detect_segmented(&seq(0, 8, 8, 100), 8, u64::MAX).unwrap();
         let _ = s.entry(100);
     }
 
@@ -358,7 +383,7 @@ mod tests {
         let mut entries = seq(0, 8, 8, 100);
         entries.extend((0..60u64).map(|i| e((i.wrapping_mul(2654435761)) % 4096 * 8, 8)));
         entries.extend(seq(1 << 20, 8, 8, 100));
-        let s = detect_segmented(&entries, 8).expect("segmented");
+        let s = detect_segmented(&entries, 8, u64::MAX).expect("segmented");
         let via_iter: Vec<AddrEntry> = s.iter().collect();
         let via_entry: Vec<AddrEntry> = (0..s.len()).map(|k| s.entry(k)).collect();
         assert_eq!(via_iter, via_entry);
@@ -404,7 +429,7 @@ mod proptests {
         /// never cost more than raw, and cover every phase it claims.
         #[test]
         fn segmented_reconstruction_is_exact(entries in arb_phased()) {
-            if let Some(s) = detect_segmented(&entries, 8) {
+            if let Some(s) = detect_segmented(&entries, 8, u64::MAX) {
                 prop_assert_eq!(s.len(), entries.len());
                 for (k, &want) in entries.iter().enumerate() {
                     prop_assert_eq!(s.entry(k), want, "k={}", k);
@@ -416,6 +441,42 @@ mod proptests {
                 );
                 let cov = s.pattern_coverage();
                 prop_assert!((0.0..=1.0).contains(&cov));
+            }
+        }
+
+        /// The profitability cap is exact: a capped scan is `None` precisely
+        /// when the uncapped result is `None` or encodes at `>= limit`, and
+        /// otherwise returns the very same pieces. Limits sweep 0 to the
+        /// uncapped encoding + 64 (the raw stream's size when there is none),
+        /// always including the values around the encoding. A short
+        /// irregular tail makes some streams end in a raw piece, the case
+        /// where an overcounted pending run would cut too early.
+        #[test]
+        fn limit_cuts_exactly_at_the_encoding(
+            mut entries in arb_phased(),
+            tail in 0u64..4,
+            steps in 8u64..48,
+        ) {
+            entries.extend((0..tail).map(|i| AddrEntry {
+                stream: StreamId(0),
+                offset: (i + 1).wrapping_mul(2654435761) % (1 << 20),
+                width: 8,
+            }));
+            let full = detect_segmented(&entries, 8, u64::MAX);
+            let enc = full.as_ref().map_or(
+                entries.len() as u64 * ADDR_ENTRY_BYTES + PIECE_HEADER_BYTES,
+                |s| s.encoded_bytes(),
+            );
+            let top = enc + 64;
+            let around = [enc.saturating_sub(1), enc, enc + 1, top];
+            for limit in (0..=top).step_by((top / steps).max(1) as usize).chain(around) {
+                let capped = detect_segmented(&entries, 8, limit);
+                match &full {
+                    Some(s) if s.encoded_bytes() < limit => {
+                        prop_assert_eq!(capped.as_ref(), Some(s), "limit {}", limit);
+                    }
+                    _ => prop_assert!(capped.is_none(), "limit {} enc {}", limit, enc),
+                }
             }
         }
     }
