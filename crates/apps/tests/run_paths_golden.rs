@@ -15,8 +15,11 @@
 //! (`transfer_all`) and volume-reduction variants, and the fused multi-pass
 //! programs (K-means, MasterCard Affinity, FilterCount); each untuned and
 //! autotuned, clean and under a busy fault plan, on one and two GPUs. Plus a
-//! `DeviceEffects::Sequential` kernel (assembled and overlap-only) and the
-//! streaming runner in window-major and pass-major order.
+//! `DeviceEffects::Sequential` kernel (assembled and overlap-only), the
+//! streaming runner in window-major and pass-major order, the GPU single-
+//! and double-buffer baselines on one and two GPUs, and unfused BigKernel
+//! under least-loaded sharding on two GPUs, clean and with device 1 failing
+//! over at wave 0.
 //!
 //! On a mismatch the test prints the digest of every configuration in
 //! fixture format; a deliberate change to simulated timing replaces the
@@ -37,7 +40,7 @@ use bk_runtime::fusion::AccessSummary;
 use bk_runtime::kernel::KernelCtx;
 use bk_runtime::{
     run_bigkernel, AutotuneConfig, DeviceEffects, DeviceFailure, FaultPlan, FaultSite, FaultStage,
-    LaunchConfig, MetricsRegistry, RankBy, StreamConfig, StreamKernel, WindowPolicy,
+    LaunchConfig, MetricsRegistry, RankBy, ShardPolicy, StreamConfig, StreamKernel, WindowPolicy,
 };
 use bk_simcore::SimTime;
 use std::collections::BTreeMap;
@@ -280,6 +283,33 @@ fn computed() -> BTreeMap<String, u64> {
         "gpus2.tuned-blame.faulted.unfused.K-means".into(),
         harness_digest(&KMeans::default(), Implementation::BigKernel, &blame),
     );
+    for gpus in [1usize, 2] {
+        let cfg = base_cfg(gpus, false, false);
+        for (mode, imp) in [
+            ("single-buffer", Implementation::GpuSingleBuffer),
+            ("double-buffer", Implementation::GpuDoubleBuffer),
+        ] {
+            for app in apps() {
+                let key = format!("gpus{gpus}.baseline.{mode}.{}", app.spec().name);
+                out.insert(key, harness_digest(app.as_ref(), imp, &cfg));
+            }
+        }
+    }
+    for faulted in [false, true] {
+        let mut cfg = base_cfg(2, false, faulted);
+        cfg.bigkernel.shard_policy = ShardPolicy::LeastLoaded;
+        for app in apps() {
+            let key = format!(
+                "gpus2.least-loaded.untuned.{}.unfused.{}",
+                if faulted { "faulted" } else { "clean" },
+                app.spec().name
+            );
+            out.insert(
+                key,
+                harness_digest(app.as_ref(), Implementation::BigKernel, &cfg),
+            );
+        }
+    }
     let cfg = base_cfg(1, false, false);
     out.insert(
         "gpus1.streamed.window-major.K-means".into(),
