@@ -1,9 +1,12 @@
-//! Deterministic fault injection and recovery for the stage-graph executor.
+//! Deterministic fault injection for the stage-graph executor.
 //!
 //! A production-scale BigKernel deployment cannot assume every DMA, assembly
-//! thread and device always succeeds. This module lets a run declare, up
-//! front and reproducibly, *what goes wrong* — a seeded [`FaultPlan`] — and
-//! gives the executor three recovery policies, tried in escalating order:
+//! thread and device always succeeds. This module is the fault model: a run
+//! declares, up front and reproducibly, *what goes wrong* — a seeded
+//! [`FaultPlan`] — and the plan inflates each wave's stage durations with
+//! the time its faults cost, then accounts and marks them. Faults only
+//! inflate durations; the [`crate::graph::Executor`] carries out the three
+//! recovery policies, tried in escalating order:
 //!
 //! 1. **Bounded retry with exponential backoff** — a transient stage fault
 //!    (a failed DMA descriptor, a crashed assembly thread, a compute launch
@@ -13,8 +16,9 @@
 //!    scheduled duration and surfaced as a `stall.<stage>.fault` counter.
 //! 2. **Chunk requeue onto surviving devices** — when a whole device dies
 //!    (at a wave boundary, per [`DeviceFailure`]), its dealt chunks are
-//!    re-dealt across the survivors with the run's [`ShardPolicy`] and every
-//!    later wave shards across survivors only.
+//!    re-dealt across the survivors with the run's
+//!    [`crate::graph::ShardPolicy`] and every later wave shards across
+//!    survivors only.
 //! 3. **Graceful degradation** — when a stage instance exhausts its retry
 //!    budget the bigkernel pipeline is deemed unable to make progress at its
 //!    current depth: the run drops to the double-buffered graph (reuse
@@ -32,7 +36,7 @@
 //! execution stays in global chunk order — outputs are bit-identical to the
 //! fault-free run for any plan that completes. See DESIGN.md §11.
 
-use crate::graph::{deal_chunks, schedule_graph, GraphSpec, Shard, ShardPolicy, ShardedSchedule};
+use crate::graph::ShardedSchedule;
 use crate::pipeline::STAGE_NAMES;
 use bk_obs::{stall_counter, MetricsRegistry, SpanRecord, FAULT_MARKER_STAGE};
 use bk_simcore::{ScheduleView, SimTime, SplitMix64};
@@ -305,10 +309,6 @@ impl FaultPlan {
     }
 }
 
-/// A wave's fault-inflated durations plus the injected-fault events.
-/// `Err((chunk, stage))` from the producer means retry-budget exhaustion.
-type InflatedWave = (Vec<Vec<SimTime>>, Vec<FaultEvent>);
-
 /// One stage instance that faulted and recovered: `attempts` injected faults
 /// before success, costing `extra` simulated time on top of the clean
 /// duration.
@@ -324,34 +324,19 @@ struct FaultEvent {
     extra: SimTime,
 }
 
-/// Per-run fault state: the plan, which devices are still alive, and the
-/// current degradation level. Built by the pipeline's run core when
-/// [`crate::BigKernelConfig::faults`] is set; one [`FaultContext::run_wave`]
-/// call replaces `Executor::run` per scheduling window.
-pub(crate) struct FaultContext {
-    plan: FaultPlan,
-    policy: ShardPolicy,
-    alive: Vec<bool>,
-    /// Degradation level: 0 = full pipeline, 1 = double-buffered (reuse
-    /// depth 1), 2 = serial. Sticky across waves.
-    level: usize,
-    specs: [GraphSpec; 3],
+/// A wave's fault-inflated durations and the stage instances that faulted.
+pub(crate) struct InflatedWave {
+    /// The wave's duration rows with every fault's lost time folded in.
+    pub(crate) rows: Vec<Vec<SimTime>>,
+    events: Vec<FaultEvent>,
 }
 
-impl FaultContext {
-    /// A fault context over the degradation `ladder`: the run's full-depth
-    /// graph, its depth-1 (double-buffered) form and its serial fallback.
-    /// Every rung keeps the run's stage shape (six stages, or `6 × passes`
-    /// for a fused program), so stage indices in the inflated rows stay
-    /// stable; fault sites address stages by their 6-stage *role*
-    /// (`stage % 6`), hitting the same role in every fused pass.
-    pub(crate) fn new(
-        plan: FaultPlan,
-        num_devices: usize,
-        policy: ShardPolicy,
-        ladder: [GraphSpec; 3],
-    ) -> FaultContext {
-        if let Some(df) = plan.device_failure {
+impl FaultPlan {
+    /// Check the plan against a machine of `num_devices` devices, before a
+    /// run starts: a device failure must name one of them and leave a
+    /// survivor to requeue onto.
+    pub(crate) fn check_devices(&self, num_devices: usize) {
+        if let Some(df) = self.device_failure {
             assert!(
                 df.device < num_devices,
                 "fault plan kills device {} but the machine has {num_devices}",
@@ -362,73 +347,52 @@ impl FaultContext {
                 "fault plan kills the only device — no survivor to requeue onto"
             );
         }
-        FaultContext {
-            plan,
-            policy,
-            alive: vec![true; num_devices],
-            level: 0,
-            specs: ladder,
-        }
     }
 
-    /// Degradation level reached so far (0 = full pipeline). The autotuner
-    /// reads this after every window to adopt degraded depths.
-    pub(crate) fn level(&self) -> usize {
-        self.level
-    }
-
-    /// Replace the graph at the *current* degradation level with a retuned
-    /// spec — the autotuner deepening (or shallowing) reuse edges between
-    /// windows. The serial fallback (level 2) has no reuse edges to tune and
-    /// is never replaced; returns whether the retune was applied. Degrading
-    /// still swaps to the untouched next-level spec, and a degraded level is
-    /// itself retunable — "retuned, not reset".
-    pub(crate) fn retune_current(&mut self, spec: GraphSpec) -> bool {
-        if self.level >= 2 {
-            return false;
-        }
-        self.specs[self.level] = spec;
-        true
-    }
-
-    /// Inflate the wave's clean durations with injected faults at the
-    /// current degradation level. `Err((chunk, stage))` means that instance
+    /// Inflate the wave's clean durations with the faults injected at
+    /// degradation level `level`; the wave's first chunk is run-global chunk
+    /// `chunk_base`. `Ok(None)` when nothing faults: the clean rows stand
+    /// and are not copied. `Err((chunk, stage))` means that instance
     /// exhausted its retry budget (global chunk id reported).
-    fn inflate(
+    ///
+    /// Fault sites and rate hashing address the 6-stage *role*: in a fused
+    /// `6 × passes`-wide row, pass p's copy of a role sits at `p*6 + role`,
+    /// so every fused pass's copy of a faulted role is hit.
+    pub(crate) fn inflate(
         &self,
+        level: usize,
         chunk_base: usize,
         durations: &[Vec<SimTime>],
-    ) -> Result<InflatedWave, (usize, usize)> {
-        let mut rows = durations.to_vec();
-        let mut events = Vec::new();
-        for (c, row) in rows.iter_mut().enumerate() {
+    ) -> Result<Option<InflatedWave>, (usize, usize)> {
+        let mut out: Option<InflatedWave> = None;
+        for (c, row) in durations.iter().enumerate() {
             let global = chunk_base + c;
-            for (stage, dur) in row.iter_mut().enumerate() {
+            for (stage, &clean) in row.iter().enumerate() {
                 // A stage that does no work this chunk cannot fault.
-                if dur.is_zero() {
+                if clean.is_zero() {
                     continue;
                 }
-                let clean = *dur;
                 let mut attempts = 0u32;
                 let mut extra = SimTime::ZERO;
-                // Fault sites and rate hashing address the 6-stage *role*:
-                // in a fused `6 × passes`-wide row, pass p's copy of a role
-                // sits at `p*6 + role`. `% 6` is a no-op for 6-stage graphs.
-                while self.plan.fails(global, stage % 6, attempts, self.level) {
-                    if attempts >= self.plan.max_retries {
+                while self.fails(global, stage % 6, attempts, level) {
+                    if attempts >= self.max_retries {
                         return Err((global, stage));
                     }
                     // The failed attempt ran (and was discarded), then the
                     // retry waited out the exponential backoff.
                     extra += clean;
                     extra += SimTime::from_secs(
-                        self.plan.backoff.secs() * (1u64 << attempts.min(62)) as f64,
+                        self.backoff.secs() * (1u64 << attempts.min(62)) as f64,
                     );
                     attempts += 1;
                 }
                 if attempts > 0 {
-                    *dur += extra;
-                    events.push(FaultEvent {
+                    let w = out.get_or_insert_with(|| InflatedWave {
+                        rows: durations.to_vec(),
+                        events: Vec::new(),
+                    });
+                    w.rows[c][stage] += extra;
+                    w.events.push(FaultEvent {
                         chunk: c,
                         stage,
                         attempts,
@@ -437,117 +401,23 @@ impl FaultContext {
                 }
             }
         }
-        Ok((rows, events))
+        Ok(out)
     }
+}
 
-    /// Shard, schedule and fault one wave. Drives the full recovery ladder:
-    /// retry inflation at the current degradation level, degrading until the
-    /// wave completes within its retry budgets; then the wave-boundary
-    /// device failure (if due), requeuing the dead device's chunks across
-    /// the survivors. Emits `fault.*` counters, `stall.<stage>.fault` time
-    /// and Perfetto fault markers (when a trace guard is live).
-    pub(crate) fn run_wave(
-        &mut self,
-        wave: usize,
+impl InflatedWave {
+    /// Account the faults the wave absorbed (`fault.injected`,
+    /// `fault.retried`, `stall.<stage>.fault`) and drop a Perfetto instant
+    /// marker on each recovered stage instance of `sharded`, the wave's
+    /// schedule.
+    pub(crate) fn record(
+        &self,
+        sharded: &ShardedSchedule,
         chunk_base: usize,
         time_base: SimTime,
-        durations: &[Vec<SimTime>],
         metrics: &mut MetricsRegistry,
-    ) -> ShardedSchedule {
-        // 1. Settle the degradation level: the first level at which every
-        //    stage instance of this wave completes within its retry budget.
-        //    Abandoned levels contribute no fault counters — only the pass
-        //    the run actually takes is accounted.
-        let (rows, events) = loop {
-            match self.inflate(chunk_base, durations) {
-                Ok(out) => break out,
-                Err((chunk, stage)) => {
-                    assert!(
-                        self.level + 1 < self.specs.len(),
-                        "fault plan cannot make progress: {} of chunk {chunk} still \
-                         exhausts {} retries in the serial fallback graph",
-                        STAGE_NAMES[stage % 6],
-                        self.plan.max_retries,
-                    );
-                    self.level += 1;
-                    metrics.incr("fault.degraded");
-                }
-            }
-        };
-
-        // 2. Deal across the devices alive at the start of the wave; if the
-        //    planned device failure fires now, requeue its chunks across the
-        //    survivors with the same policy.
-        let mut targets: Vec<usize> = (0..self.alive.len()).filter(|&d| self.alive[d]).collect();
-        let mut owned = deal_chunks(self.policy, targets.len(), &rows);
-        if let Some(df) = self.plan.device_failure {
-            if df.wave == wave && self.alive[df.device] {
-                let pos = targets
-                    .iter()
-                    .position(|&d| d == df.device)
-                    .expect("alive device is a target");
-                let orphaned = owned.remove(pos);
-                targets.remove(pos);
-                self.alive[df.device] = false;
-                assert!(
-                    !targets.is_empty(),
-                    "fault plan killed the last surviving device"
-                );
-                metrics.add("fault.failed_over", orphaned.len() as u64);
-                match self.policy {
-                    ShardPolicy::RoundRobin => {
-                        for (i, c) in orphaned.into_iter().enumerate() {
-                            let n = owned.len();
-                            owned[i % n].push(c);
-                        }
-                    }
-                    ShardPolicy::LeastLoaded => {
-                        let mut load: Vec<SimTime> = owned
-                            .iter()
-                            .map(|ids| ids.iter().map(|&c| rows[c].iter().copied().sum()).sum())
-                            .collect();
-                        for c in orphaned {
-                            let mut dev = 0usize;
-                            for (d, &l) in load.iter().enumerate() {
-                                if l < load[dev] {
-                                    dev = d;
-                                }
-                            }
-                            owned[dev].push(c);
-                            load[dev] += rows[c].iter().copied().sum();
-                        }
-                    }
-                }
-                // Requeued chunks splice back into each survivor's sequence
-                // in global order (the shard invariant).
-                for ids in owned.iter_mut() {
-                    ids.sort_unstable();
-                }
-            }
-        }
-
-        // 3. Schedule each survivor's share on its device resources.
-        let spec = &self.specs[self.level];
-        let shards: Vec<Shard> = targets
-            .into_iter()
-            .zip(owned)
-            .map(|(device, chunk_ids)| {
-                let spec_d = spec.for_device(device);
-                let dev_rows: Vec<Vec<SimTime>> =
-                    chunk_ids.iter().map(|&c| rows[c].clone()).collect();
-                let sched = schedule_graph(&spec_d, &dev_rows);
-                Shard {
-                    device,
-                    chunk_ids,
-                    sched,
-                }
-            })
-            .collect();
-        let sharded = ShardedSchedule::from_shards(shards);
-
-        // 4. Account the faults the wave absorbed, and drop a Perfetto
-        //    instant marker on each recovered stage instance.
-        for ev in &events {
+    ) {
+        for ev in &self.events {
             metrics.incr("fault.injected");
             metrics.add("fault.retried", ev.attempts as u64);
             if let Some(c) = stall_counter(STAGE_NAMES[ev.stage % 6], "fault") {
@@ -567,24 +437,22 @@ impl FaultContext {
                 }
             }
         }
-
-        sharded
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{bigkernel_graph, serial_graph};
+    use crate::graph::{bigkernel_graph, serial_graph, Executor, ShardPolicy};
 
-    /// A fault context over the six-stage ladder at reuse depth 3.
-    fn six_stage(plan: FaultPlan, devices: usize, policy: ShardPolicy) -> FaultContext {
+    /// An executor over the six-stage ladder at reuse depth 3.
+    fn six_stage(devices: usize, policy: ShardPolicy) -> Executor {
         let ladder = [
             bigkernel_graph(1, 3),
             bigkernel_graph(1, 1),
             serial_graph(&STAGE_NAMES),
         ];
-        FaultContext::new(plan, devices, policy, ladder)
+        Executor::with_ladder(ladder, devices, policy)
     }
 
     fn t(us: f64) -> SimTime {
@@ -681,9 +549,11 @@ mod tests {
         // One site failing compute of chunk 2 twice: the inflated row pays
         // two wasted attempts plus backoff 1µs + 2µs.
         let plan = FaultPlan::parse("fail=compute@2x2,backoff_us=1").unwrap();
-        let ctx = six_stage(plan, 1, ShardPolicy::RoundRobin);
         let clean = rows(4);
-        let (inflated, events) = ctx.inflate(0, &clean).unwrap();
+        let InflatedWave {
+            rows: inflated,
+            events,
+        } = plan.inflate(0, 0, &clean).unwrap().expect("a site fired");
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].attempts, 2);
         assert_eq!(events[0].extra, t(1.3) + t(1.0) + t(1.3) + t(2.0));
@@ -705,13 +575,10 @@ mod tests {
             max_retries: 0,
             ..FaultPlan::default()
         };
-        let ctx = six_stage(plan, 1, ShardPolicy::RoundRobin);
         // All-zero rows: rate 1.0 with no retries would exhaust instantly if
         // zero-duration stages drew faults.
         let clean = vec![vec![SimTime::ZERO; 6]; 3];
-        let (inflated, events) = ctx.inflate(0, &clean).unwrap();
-        assert!(events.is_empty());
-        assert_eq!(inflated, clean);
+        assert!(plan.inflate(0, 0, &clean).unwrap().is_none());
     }
 
     #[test]
@@ -719,10 +586,10 @@ mod tests {
         // The site fails 10 times but the budget is 1 retry: level 0 cannot
         // complete. Sites clear at level 1, so the wave runs double-buffered.
         let plan = FaultPlan::parse("fail=compute@0x10,retries=1").unwrap();
-        let mut ctx = six_stage(plan, 1, ShardPolicy::RoundRobin);
+        let mut exec = six_stage(1, ShardPolicy::RoundRobin);
         let mut metrics = MetricsRegistry::new();
-        let sharded = ctx.run_wave(0, 0, SimTime::ZERO, &rows(6), &mut metrics);
-        assert_eq!(ctx.level(), 1);
+        let sharded = exec.run_wave(&plan, 0, 0, SimTime::ZERO, &rows(6), &mut metrics);
+        assert_eq!(exec.level(), 1);
         assert_eq!(metrics.get("fault.degraded"), 1);
         assert_eq!(sharded.num_chunks(), 6);
         // The degraded graph still has the 6-stage shape.
@@ -735,11 +602,10 @@ mod tests {
     #[test]
     fn degraded_wave_is_slower_than_clean_pipeline() {
         let plan = FaultPlan::parse("fail=compute@0x10,retries=1").unwrap();
-        let mut ctx = six_stage(plan.clone(), 1, ShardPolicy::RoundRobin);
+        let mut exec = six_stage(1, ShardPolicy::RoundRobin);
         let mut metrics = MetricsRegistry::new();
-        let degraded = ctx.run_wave(0, 0, SimTime::ZERO, &rows(8), &mut metrics);
-        let clean = crate::graph::Executor::new(bigkernel_graph(1, 3), 1, ShardPolicy::RoundRobin)
-            .run(&rows(8));
+        let degraded = exec.run_wave(&plan, 0, 0, SimTime::ZERO, &rows(8), &mut metrics);
+        let clean = six_stage(1, ShardPolicy::RoundRobin).run(&rows(8));
         assert!(degraded.makespan() > clean.makespan());
     }
 
@@ -751,29 +617,29 @@ mod tests {
             max_retries: 2,
             ..FaultPlan::default()
         };
-        let mut ctx = six_stage(plan, 1, ShardPolicy::RoundRobin);
+        let mut exec = six_stage(1, ShardPolicy::RoundRobin);
         let mut metrics = MetricsRegistry::new();
-        let _ = ctx.run_wave(0, 0, SimTime::ZERO, &rows(2), &mut metrics);
+        let _ = exec.run_wave(&plan, 0, 0, SimTime::ZERO, &rows(2), &mut metrics);
     }
 
     #[test]
     fn device_death_requeues_onto_survivors_in_order() {
         let plan = FaultPlan::parse("kill=0@1").unwrap();
-        let mut ctx = six_stage(plan, 2, ShardPolicy::RoundRobin);
+        let mut exec = six_stage(2, ShardPolicy::RoundRobin);
         let mut metrics = MetricsRegistry::new();
         // Wave 0: both devices.
-        let w0 = ctx.run_wave(0, 0, SimTime::ZERO, &rows(8), &mut metrics);
+        let w0 = exec.run_wave(&plan, 0, 0, SimTime::ZERO, &rows(8), &mut metrics);
         assert_eq!(w0.shards().len(), 2);
         assert_eq!(metrics.get("fault.failed_over"), 0);
         // Wave 1: device 0 dies; its 4 round-robin chunks requeue onto
         // device 1, which now owns all 8 in global order.
-        let w1 = ctx.run_wave(1, 8, w0.makespan(), &rows(8), &mut metrics);
+        let w1 = exec.run_wave(&plan, 1, 8, w0.makespan(), &rows(8), &mut metrics);
         assert_eq!(w1.shards().len(), 1);
         assert_eq!(w1.shards()[0].device, 1);
         assert_eq!(w1.shards()[0].chunk_ids, (0..8).collect::<Vec<_>>());
         assert_eq!(metrics.get("fault.failed_over"), 4);
         // Wave 2: survivors only, nothing more fails over.
-        let w2 = ctx.run_wave(2, 16, SimTime::ZERO, &rows(4), &mut metrics);
+        let w2 = exec.run_wave(&plan, 2, 16, SimTime::ZERO, &rows(4), &mut metrics);
         assert_eq!(w2.shards().len(), 1);
         assert_eq!(metrics.get("fault.failed_over"), 4);
     }
@@ -781,9 +647,9 @@ mod tests {
     #[test]
     fn least_loaded_requeue_balances_survivors() {
         let plan = FaultPlan::parse("kill=1@0").unwrap();
-        let mut ctx = six_stage(plan, 3, ShardPolicy::LeastLoaded);
+        let mut exec = six_stage(3, ShardPolicy::LeastLoaded);
         let mut metrics = MetricsRegistry::new();
-        let w0 = ctx.run_wave(0, 0, SimTime::ZERO, &rows(9), &mut metrics);
+        let w0 = exec.run_wave(&plan, 0, 0, SimTime::ZERO, &rows(9), &mut metrics);
         assert_eq!(w0.shards().len(), 2);
         assert_eq!(w0.num_chunks(), 9);
         assert!(metrics.get("fault.failed_over") > 0);
@@ -801,16 +667,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "only device")]
     fn killing_the_only_device_is_rejected_up_front() {
-        let plan = FaultPlan::parse("kill=0@0").unwrap();
-        let _ = six_stage(plan, 1, ShardPolicy::RoundRobin);
+        FaultPlan::parse("kill=0@0").unwrap().check_devices(1);
     }
 
     #[test]
     fn fault_counters_and_stall_time_are_emitted() {
         let plan = FaultPlan::parse("fail=transfer@1x2,fail=compute@3,backoff_us=1").unwrap();
-        let mut ctx = six_stage(plan, 1, ShardPolicy::RoundRobin);
+        let mut exec = six_stage(1, ShardPolicy::RoundRobin);
         let mut metrics = MetricsRegistry::new();
-        let _ = ctx.run_wave(0, 0, SimTime::ZERO, &rows(6), &mut metrics);
+        let _ = exec.run_wave(&plan, 0, 0, SimTime::ZERO, &rows(6), &mut metrics);
         assert_eq!(metrics.get("fault.injected"), 2);
         assert_eq!(metrics.get("fault.retried"), 3);
         assert_eq!(metrics.get("fault.degraded"), 0);
@@ -823,9 +688,9 @@ mod tests {
     fn same_plan_same_wave_is_bitwise_reproducible() {
         let plan = FaultPlan::parse("seed=3,rate=0.2,retries=4,kill=1@0").unwrap();
         let run = || {
-            let mut ctx = six_stage(plan.clone(), 2, ShardPolicy::RoundRobin);
+            let mut exec = six_stage(2, ShardPolicy::RoundRobin);
             let mut metrics = MetricsRegistry::new();
-            let s = ctx.run_wave(0, 0, SimTime::ZERO, &rows(12), &mut metrics);
+            let s = exec.run_wave(&plan, 0, 0, SimTime::ZERO, &rows(12), &mut metrics);
             (s.makespan(), format!("{metrics}"))
         };
         assert_eq!(run(), run());
@@ -834,10 +699,10 @@ mod tests {
     #[test]
     fn fault_markers_appear_in_the_trace() {
         let plan = FaultPlan::parse("fail=compute@2,backoff_us=1").unwrap();
-        let mut ctx = six_stage(plan, 1, ShardPolicy::RoundRobin);
+        let mut exec = six_stage(1, ShardPolicy::RoundRobin);
         let mut metrics = MetricsRegistry::new();
         let guard = bk_obs::trace::start();
-        let _ = ctx.run_wave(0, 0, SimTime::ZERO, &rows(4), &mut metrics);
+        let _ = exec.run_wave(&plan, 0, 0, SimTime::ZERO, &rows(4), &mut metrics);
         let spans = guard.finish();
         if spans.is_empty() {
             // bk-obs compiled without the `trace` feature in this build

@@ -30,6 +30,7 @@
 //!   in global chunk order and outputs are bit-identical for any device
 //!   count. See DESIGN.md §10.
 
+use crate::fault::FaultPlan;
 use crate::result::{accumulate_stage_stats, StageStat};
 use bk_obs::{device_counter, MetricsRegistry, MAX_DEVICES};
 use bk_simcore::pipeline::Slot;
@@ -474,7 +475,7 @@ pub fn fused_graph_depths(
 /// was scheduled under (deps, reuse edges, capacities) so it satisfies
 /// [`bk_obs::critpath::ScheduleDag`] — the critical-path analyzer re-derives
 /// each slot's binding predecessor from these.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GraphSchedule {
     stage_names: Vec<&'static str>,
     resources: Vec<&'static str>,
@@ -669,7 +670,16 @@ pub enum ShardPolicy {
     LeastLoaded,
 }
 
-/// Executes a [`GraphSpec`] over `N` simulated devices.
+/// Deals chunks to simulated devices and schedules each device's share: the
+/// one scheduler of every run path, clean or faulted.
+///
+/// The executor owns the live device set and the run's graph ladder: the
+/// run's graph, its depth-1 (double-buffered) form and its serial fallback.
+/// [`Executor::run`] deals to the live devices and schedules on the current
+/// rung. [`Executor::run_wave`] adds the fault recovery of
+/// [`crate::fault`]: it degrades down the ladder until the wave's retry
+/// budgets hold and kills a planned device at its wave boundary, requeuing
+/// that device's chunks across the survivors.
 ///
 /// ```
 /// use bk_runtime::graph::{bigkernel_graph, Executor, ShardPolicy};
@@ -687,13 +697,22 @@ pub enum ShardPolicy {
 /// assert_eq!(wave.shards()[1].chunk_ids, vec![1, 3]);
 /// ```
 pub struct Executor {
-    spec: GraphSpec,
-    num_devices: usize,
+    /// Rung 0 is the run's graph; with a full ladder, rung 1 is its depth-1
+    /// form and rung [`SERIAL_RUNG`] the serial fallback.
+    ladder: Vec<GraphSpec>,
+    /// The rung in use. Degradation is sticky across waves.
+    level: usize,
+    /// Which devices are still alive.
+    alive: Vec<bool>,
     policy: ShardPolicy,
 }
 
+/// The serial rung of a full ladder: it has no reuse edges to retune.
+const SERIAL_RUNG: usize = 2;
+
 /// One device's share of a wave: which wave-local chunks it owns (in order)
 /// and their schedule on that device's resources.
+#[derive(Debug, PartialEq)]
 pub struct Shard {
     /// The device that ran this share.
     pub device: usize,
@@ -705,41 +724,185 @@ pub struct Shard {
 
 /// A wave scheduled across all devices. The devices run concurrently, so
 /// the wave's makespan is the max over shard makespans.
+#[derive(Debug, PartialEq)]
 pub struct ShardedSchedule {
     shards: Vec<Shard>,
     makespan: SimTime,
 }
 
+/// A wave dealt across the live devices: per device (ascending ids), its
+/// wave-local chunk ids and their running load.
+struct Dealt {
+    devices: Vec<usize>,
+    owned: Vec<Vec<usize>>,
+    load: Vec<SimTime>,
+}
+
 impl Executor {
     /// An executor that shards each wave over `num_devices` copies of
-    /// `spec`'s resources according to `policy`.
+    /// `spec`'s resources according to `policy`. Its ladder has the one
+    /// rung, so it never degrades.
     pub fn new(spec: GraphSpec, num_devices: usize, policy: ShardPolicy) -> Self {
+        Self::build(vec![spec], num_devices, policy)
+    }
+
+    /// An executor over a full degradation ladder: the run's graph, its
+    /// depth-1 (double-buffered) form and its serial fallback. Every rung
+    /// keeps the run's stage shape (six stages, or `6 × passes` for a fused
+    /// program), so stage indices stay stable across a degradation.
+    pub fn with_ladder(ladder: [GraphSpec; 3], num_devices: usize, policy: ShardPolicy) -> Self {
+        Self::build(ladder.into(), num_devices, policy)
+    }
+
+    fn build(ladder: Vec<GraphSpec>, num_devices: usize, policy: ShardPolicy) -> Self {
         assert!(num_devices >= 1, "need at least one device");
         assert!(
             num_devices <= MAX_DEVICES,
             "at most {MAX_DEVICES} simulated devices"
         );
         Executor {
-            spec,
-            num_devices,
+            ladder,
+            level: 0,
+            alive: vec![true; num_devices],
             policy,
         }
     }
 
-    /// How many simulated devices the executor shards over.
-    pub fn num_devices(&self) -> usize {
-        self.num_devices
+    /// The rung in use (0 = the run's graph). The autotuner reads this after
+    /// every window to adopt degraded depths.
+    pub fn level(&self) -> usize {
+        self.level
     }
 
-    /// Shard the wave's chunks and schedule each device's share. With one
-    /// device this is exactly [`schedule_graph`] over all chunks in order.
+    /// Replace the current rung with a retuned spec: the autotuner deepening
+    /// (or shallowing) reuse edges between windows. The serial rung has no
+    /// reuse edges to tune and is never replaced; returns whether the retune
+    /// was applied. Degrading still moves to the untouched next rung, and a
+    /// degraded rung is itself retunable.
+    pub fn retune(&mut self, spec: GraphSpec) -> bool {
+        if self.ladder.len() > SERIAL_RUNG && self.level == SERIAL_RUNG {
+            return false;
+        }
+        self.ladder[self.level] = spec;
+        true
+    }
+
+    /// Move down one rung; `false` when already on the last one.
+    pub fn degrade(&mut self) -> bool {
+        if self.level + 1 < self.ladder.len() {
+            self.level += 1;
+            true
+        } else {
+            false
+        }
+    }
+
+    /// Deal the wave's chunks to the live devices and schedule each
+    /// device's share on the current rung. With one device this is exactly
+    /// [`schedule_graph`] over all chunks in order.
     pub fn run(&self, durations: &[Vec<SimTime>]) -> ShardedSchedule {
-        let owned = deal_chunks(self.policy, self.num_devices, durations);
-        let shards: Vec<Shard> = owned
+        self.schedule(self.deal(durations), durations)
+    }
+
+    /// [`Executor::run`] under the fault plan `faults` for wave `wave`, whose
+    /// first chunk is run-global chunk `chunk_base` and which starts at
+    /// simulated time `time_base`. The wave settles on the first rung at
+    /// which every stage instance completes within its retry budget (each
+    /// degradation counts `fault.degraded`); the planned device failure, if
+    /// due at this wave, kills its device after the deal. Fault accounting
+    /// and markers follow ([`crate::fault`]). A plan that injects nothing
+    /// schedules exactly what [`Executor::run`] does and records nothing.
+    pub fn run_wave(
+        &mut self,
+        faults: &FaultPlan,
+        wave: usize,
+        chunk_base: usize,
+        time_base: SimTime,
+        durations: &[Vec<SimTime>],
+        metrics: &mut MetricsRegistry,
+    ) -> ShardedSchedule {
+        let inflated = loop {
+            match faults.inflate(self.level, chunk_base, durations) {
+                Ok(out) => break out,
+                Err((chunk, stage)) => {
+                    assert!(
+                        self.degrade(),
+                        "fault plan cannot make progress: {} of chunk {chunk} still \
+                         exhausts {} retries in the serial fallback graph",
+                        crate::pipeline::STAGE_NAMES[stage % 6],
+                        faults.max_retries,
+                    );
+                    metrics.incr("fault.degraded");
+                }
+            }
+        };
+        let rows = inflated.as_ref().map_or(durations, |w| w.rows.as_slice());
+        let mut dealt = self.deal(rows);
+        if let Some(df) = faults.device_failure {
+            if df.wave == wave && self.alive[df.device] {
+                let failed_over = self.kill(df.device, &mut dealt, rows);
+                metrics.add("fault.failed_over", failed_over as u64);
+            }
+        }
+        let sharded = self.schedule(dealt, rows);
+        if let Some(w) = &inflated {
+            w.record(&sharded, chunk_base, time_base, metrics);
+        }
+        sharded
+    }
+
+    fn deal(&self, durations: &[Vec<SimTime>]) -> Dealt {
+        let devices: Vec<usize> = (0..self.alive.len()).filter(|&d| self.alive[d]).collect();
+        let mut owned = vec![Vec::new(); devices.len()];
+        let mut load = vec![SimTime::ZERO; devices.len()];
+        deal_chunks(self.policy, &mut owned, &mut load, 0..durations.len(), durations);
+        Dealt {
+            devices,
+            owned,
+            load,
+        }
+    }
+
+    /// Kill `device` at this wave boundary: its dealt chunks requeue across
+    /// the survivors with the run's policy, continuing from their running
+    /// loads, and splice back into each survivor's sequence in global order
+    /// (the shard invariant). Every later wave deals to the survivors only.
+    /// Returns how many chunks failed over.
+    fn kill(&mut self, device: usize, dealt: &mut Dealt, durations: &[Vec<SimTime>]) -> usize {
+        let pos = dealt
+            .devices
+            .iter()
+            .position(|&d| d == device)
+            .expect("killed device is live");
+        dealt.devices.remove(pos);
+        dealt.load.remove(pos);
+        let orphaned = dealt.owned.remove(pos);
+        self.alive[device] = false;
+        assert!(
+            !dealt.devices.is_empty(),
+            "fault plan killed the last surviving device"
+        );
+        deal_chunks(
+            self.policy,
+            &mut dealt.owned,
+            &mut dealt.load,
+            orphaned.iter().copied(),
+            durations,
+        );
+        for ids in dealt.owned.iter_mut() {
+            ids.sort_unstable();
+        }
+        orphaned.len()
+    }
+
+    fn schedule(&self, dealt: Dealt, durations: &[Vec<SimTime>]) -> ShardedSchedule {
+        let spec = &self.ladder[self.level];
+        let shards: Vec<Shard> = dealt
+            .devices
             .into_iter()
-            .enumerate()
+            .zip(dealt.owned)
             .map(|(device, chunk_ids)| {
-                let spec_d = self.spec.for_device(device);
+                let spec_d = spec.for_device(device);
                 let rows: Vec<Vec<SimTime>> =
                     chunk_ids.iter().map(|&c| durations[c].clone()).collect();
                 let sched = schedule_graph(&spec_d, &rows);
@@ -750,54 +913,50 @@ impl Executor {
                 }
             })
             .collect();
-        ShardedSchedule::from_shards(shards)
-    }
-}
-
-/// Deal wave-local chunks (rows of `durations`) across `n` schedule targets
-/// following `policy`. Returns, per target, the owned chunk indices in
-/// ascending order. This is the dealing half of [`Executor::run`], split out
-/// so the fault-recovery path ([`crate::fault`]) can re-deal a dead device's
-/// chunks across the survivors with the same policy.
-pub fn deal_chunks(policy: ShardPolicy, n: usize, durations: &[Vec<SimTime>]) -> Vec<Vec<usize>> {
-    assert!(n >= 1, "need at least one schedule target");
-    let mut owned: Vec<Vec<usize>> = vec![Vec::new(); n];
-    match policy {
-        ShardPolicy::RoundRobin => {
-            for c in 0..durations.len() {
-                owned[c % n].push(c);
-            }
-        }
-        ShardPolicy::LeastLoaded => {
-            let mut load = vec![SimTime::ZERO; n];
-            for (c, row) in durations.iter().enumerate() {
-                let weight: SimTime = row.iter().copied().sum();
-                let mut dev = 0usize;
-                for (d, &l) in load.iter().enumerate() {
-                    if l < load[dev] {
-                        dev = d;
-                    }
-                }
-                owned[dev].push(c);
-                load[dev] += weight;
-            }
-        }
-    }
-    owned
-}
-
-impl ShardedSchedule {
-    /// Assemble a wave from already-scheduled shards (the executor's normal
-    /// path and the fault-recovery path both end here). The wave makespan is
-    /// the max over shard makespans — devices run concurrently.
-    pub fn from_shards(shards: Vec<Shard>) -> ShardedSchedule {
         let makespan = shards
             .iter()
             .map(|s| s.sched.makespan)
             .fold(SimTime::ZERO, SimTime::max);
         ShardedSchedule { shards, makespan }
     }
+}
 
+/// Deal `chunks` (wave-local ids, ascending: rows of `durations`) onto the
+/// targets of `owned`, continuing from what each target already owns.
+/// Round-robin deals the `i`-th of `chunks` to target `i % n`. Least-loaded
+/// deals each chunk to the target with the least running `load` (ties to
+/// the lowest index) and adds the chunk's stage-duration sum to it; `load`
+/// is only read and kept by that policy. The executor's first deal and its
+/// failover requeue both go through here.
+pub fn deal_chunks(
+    policy: ShardPolicy,
+    owned: &mut [Vec<usize>],
+    load: &mut [SimTime],
+    chunks: impl IntoIterator<Item = usize>,
+    durations: &[Vec<SimTime>],
+) {
+    let n = owned.len();
+    assert!(n >= 1, "need at least one schedule target");
+    assert_eq!(load.len(), n, "one running load per target");
+    for (i, c) in chunks.into_iter().enumerate() {
+        let target = match policy {
+            ShardPolicy::RoundRobin => i % n,
+            ShardPolicy::LeastLoaded => {
+                let mut dev = 0usize;
+                for (d, &l) in load.iter().enumerate() {
+                    if l < load[dev] {
+                        dev = d;
+                    }
+                }
+                load[dev] += durations[c].iter().copied().sum();
+                dev
+            }
+        };
+        owned[target].push(c);
+    }
+}
+
+impl ShardedSchedule {
     /// Wave makespan: the max over the concurrent shard makespans.
     pub fn makespan(&self) -> SimTime {
         self.makespan
@@ -1088,6 +1247,135 @@ mod tests {
         assert_eq!(ll.shards()[1].chunk_ids.len(), 20);
     }
 
+    /// A fresh deal of every row of `rows` onto `n` targets.
+    fn deal(policy: ShardPolicy, n: usize, rows: &[Vec<SimTime>]) -> Vec<Vec<usize>> {
+        let mut owned = vec![Vec::new(); n];
+        deal_chunks(policy, &mut owned, &mut vec![SimTime::ZERO; n], 0..rows.len(), rows);
+        owned
+    }
+
+    /// The fault path's former requeue, verbatim: the reference the shared
+    /// dealing routine must reproduce.
+    fn requeue_reference(
+        policy: ShardPolicy,
+        n: usize,
+        dead: usize,
+        rows: &[Vec<SimTime>],
+    ) -> Vec<Vec<usize>> {
+        let mut owned = deal(policy, n, rows);
+        let orphaned = owned.remove(dead);
+        match policy {
+            ShardPolicy::RoundRobin => {
+                for (i, c) in orphaned.into_iter().enumerate() {
+                    let n = owned.len();
+                    owned[i % n].push(c);
+                }
+            }
+            ShardPolicy::LeastLoaded => {
+                let mut load: Vec<SimTime> = owned
+                    .iter()
+                    .map(|ids| ids.iter().map(|&c| rows[c].iter().copied().sum()).sum())
+                    .collect();
+                for c in orphaned {
+                    let mut dev = 0usize;
+                    for (d, &l) in load.iter().enumerate() {
+                        if l < load[dev] {
+                            dev = d;
+                        }
+                    }
+                    owned[dev].push(c);
+                    load[dev] += rows[c].iter().copied().sum();
+                }
+            }
+        }
+        for ids in owned.iter_mut() {
+            ids.sort_unstable();
+        }
+        owned
+    }
+
+    fn ladder() -> [GraphSpec; 3] {
+        [
+            bigkernel_graph(1, 3),
+            bigkernel_graph(1, 1),
+            serial_graph(&crate::pipeline::STAGE_NAMES),
+        ]
+    }
+
+    #[test]
+    fn failover_requeue_matches_the_former_fault_path_loop() {
+        // Skewed costs, so least-loaded survivors carry unequal loads when
+        // the dead device's chunks arrive.
+        let rows: Vec<Vec<SimTime>> = (0..23)
+            .map(|c| vec![t([7.0, 1.0, 3.0, 0.5, 12.0][c % 5] + c as f64 * 0.1); 6])
+            .collect();
+        for policy in [ShardPolicy::RoundRobin, ShardPolicy::LeastLoaded] {
+            for dead in 0..3 {
+                let plan = FaultPlan {
+                    device_failure: Some(crate::fault::DeviceFailure {
+                        device: dead,
+                        wave: 0,
+                    }),
+                    ..FaultPlan::default()
+                };
+                let mut exec = Executor::with_ladder(ladder(), 3, policy);
+                let mut metrics = MetricsRegistry::new();
+                let wave = exec.run_wave(&plan, 0, 0, SimTime::ZERO, &rows, &mut metrics);
+                let got: Vec<Vec<usize>> =
+                    wave.shards().iter().map(|s| s.chunk_ids.clone()).collect();
+                assert_eq!(got, requeue_reference(policy, 3, dead, &rows), "{policy:?}");
+                let survivors: Vec<usize> = wave.shards().iter().map(|s| s.device).collect();
+                assert!(!survivors.contains(&dead));
+                assert_eq!(survivors.len(), 2);
+                // Later waves deal to the survivors only.
+                let next = exec.run_wave(&plan, 1, 23, wave.makespan(), &rows, &mut metrics);
+                assert_eq!(next.shards().len(), 2);
+                assert_eq!(next.shards()[0].chunk_ids, deal(policy, 2, &rows)[0]);
+            }
+        }
+    }
+
+    #[test]
+    fn retune_never_replaces_the_serial_rung() {
+        let mut exec = Executor::with_ladder(ladder(), 1, ShardPolicy::RoundRobin);
+        let rows = vec![vec![t(0.2), t(0.9), t(0.7), t(1.3), t(0.3), t(0.2)]; 6];
+        assert!(exec.retune(bigkernel_graph(1, 4)));
+        assert_eq!(exec.run(&rows), Executor::new(bigkernel_graph(1, 4), 1, ShardPolicy::RoundRobin).run(&rows));
+        assert!(exec.degrade());
+        assert!(exec.retune(bigkernel_graph(1, 2)), "a degraded rung is retunable");
+        assert!(exec.degrade());
+        assert_eq!(exec.level(), 2);
+        let serial = exec.run(&rows);
+        assert!(!exec.retune(bigkernel_graph(1, 4)));
+        assert_eq!(exec.run(&rows), serial);
+        assert!(!exec.degrade(), "no rung below the serial one");
+    }
+
+    #[test]
+    fn fault_free_plan_schedules_exactly_like_a_clean_run() {
+        let rows: Vec<Vec<SimTime>> = (0..17)
+            .map(|c| vec![t(0.2), t(0.9 + c as f64), t(0.7), t(1.3), t(0.3), t(0.2)])
+            .collect();
+        for policy in [ShardPolicy::RoundRobin, ShardPolicy::LeastLoaded] {
+            for devices in [1, 2, 3] {
+                let clean = Executor::with_ladder(ladder(), devices, policy).run(&rows);
+                let mut exec = Executor::with_ladder(ladder(), devices, policy);
+                let mut metrics = MetricsRegistry::new();
+                let wave = exec.run_wave(
+                    &FaultPlan::default(),
+                    0,
+                    0,
+                    SimTime::ZERO,
+                    &rows,
+                    &mut metrics,
+                );
+                assert_eq!(wave, clean);
+                assert_eq!(exec.level(), 0);
+                assert_eq!(metrics.iter().count(), 0, "a clean wave records nothing");
+            }
+        }
+    }
+
     #[test]
     fn deal_chunks_least_loaded_tracks_running_load_not_chunk_count() {
         // Alternating heavy/light chunks on 3 targets: the greedy argmin
@@ -1097,7 +1385,7 @@ mod tests {
         let rows: Vec<Vec<SimTime>> = (0..8)
             .map(|c| vec![t(if c % 2 == 0 { 9.0 } else { 1.0 })])
             .collect();
-        let owned = deal_chunks(ShardPolicy::LeastLoaded, 3, &rows);
+        let owned = deal(ShardPolicy::LeastLoaded, 3, &rows);
         // c0(9)->0, c1(1)->1, c2(9)->2, c3(1)->1 (load 2), c4(9)->1 (still
         // the min at 2), c5(1)->0 (9-tie with target 2; lowest index wins),
         // c6(9)->2 (min 9), c7(1)->0 (min 10). Loads end at 11/11/18.
@@ -1119,8 +1407,8 @@ mod tests {
         // index target, which degenerates to the round-robin deal — so the
         // policies only diverge when costs are actually skewed.
         let rows = vec![vec![t(1.0), t(2.0)]; 12];
-        let ll = deal_chunks(ShardPolicy::LeastLoaded, 4, &rows);
-        let rr = deal_chunks(ShardPolicy::RoundRobin, 4, &rows);
+        let ll = deal(ShardPolicy::LeastLoaded, 4, &rows);
+        let rr = deal(ShardPolicy::RoundRobin, 4, &rows);
         assert_eq!(ll, rr);
     }
 

@@ -80,11 +80,10 @@ use crate::config::BigKernelConfig;
 use crate::exec::{
     run_block_sequential, run_chunk, BlockSlot, ChunkCosts, ChunkJob, ChunkMode, WaveCell,
 };
-use crate::fault::FaultContext;
+use crate::fault::FaultPlan;
 use crate::fusion::{FusePlan, FuseRefusal, PassIo};
 use crate::graph::{
     bigkernel_graph_depths, fused_graph_depths, fused_serial_graph, serial_graph, Executor,
-    GraphSpec,
 };
 use crate::kernel::{chunk_slice, partition_ranges, DeviceEffects, LaunchConfig, StreamKernel};
 use crate::machine::Machine;
@@ -182,31 +181,79 @@ pub(crate) fn note_retune(
     });
 }
 
-/// Aux-staged secondary streams for the overlap-only path (`transfer_all`):
-/// the staged execution modes resolve `StreamId(0)` through the chunk window
-/// but have no per-chunk window for secondary streams, so those are staged
-/// *whole* to device buffers up front — the paper's "simply defaults to
-/// fetching all data" fallback extended to every mapped stream. The up-front
-/// h2d DMA time is charged to the first non-empty chunk's transfer stage;
-/// dirty streams flush back to host memory after the last chunk (unfused
-/// multi-pass apps re-map the same regions in their next pass, so secondary
-/// writes must land in `hmem`).
-struct StagedAux {
-    /// `(stream, whole-stream device buffer)`, in `streams[1..]` order.
-    table: Vec<(StreamId, bk_gpu::BufferId)>,
+/// Secondary streams staged *whole* to device buffers up front, for the
+/// execution modes that have no per-chunk window for them: the overlap-only
+/// variant (`transfer_all`) and the GPU single- and double-buffer baselines.
+/// Those modes resolve `StreamId(0)` through their chunk or staging window,
+/// so every other mapped stream is staged whole — the paper's "simply
+/// defaults to fetching all data" fallback. The up-front h2d DMA time is
+/// charged to the first chunk that transfers anything; dirty streams flush
+/// back to host memory after the last chunk (unfused multi-pass apps re-map
+/// the same regions in their next pass, so secondary writes must land in
+/// `hmem`).
+pub struct StagedAux {
+    /// `(stream, whole-stream device buffer)`, in staging order.
+    pub table: Vec<(StreamId, bk_gpu::BufferId)>,
+    /// Union of the per-block written masks (bit = table index).
+    pub dirty: u64,
     /// Up-front h2d DMA time not yet charged to a chunk's transfer stage.
     pending_xfer: SimTime,
-    /// Union of the per-block written masks (bit = table index).
-    dirty: u64,
 }
 
 impl StagedAux {
-    fn empty() -> Self {
-        StagedAux {
-            table: Vec::new(),
-            pending_xfer: SimTime::ZERO,
+    /// Stage every stream of `aux` (a run's secondary streams) whole to a
+    /// device buffer, counting the bytes in `pcie.h2d_bytes`.
+    pub fn stage(machine: &mut Machine, aux: &[StreamArray], metrics: &mut MetricsRegistry) -> Self {
+        let mut staged = StagedAux {
+            table: Vec::with_capacity(aux.len()),
             dirty: 0,
+            pending_xfer: SimTime::ZERO,
+        };
+        for s in aux {
+            let buf = machine.gmem.alloc(s.len().max(1));
+            let src = machine.hmem.read(s.region, 0, s.len() as usize).to_vec();
+            machine.gmem.dma_in(buf, 0, &src);
+            metrics.add("pcie.h2d_bytes", s.len());
+            staged.pending_xfer += machine
+                .link
+                .dma_time_with_flag(DmaDirection::HostToDevice, s.len());
+            staged.table.push((s.id, buf));
         }
+        staged
+    }
+
+    /// The up-front h2d DMA time, handed out once: the first chunk that
+    /// transfers pays it, every later call returns zero.
+    pub fn take_pending_xfer(&mut self) -> SimTime {
+        std::mem::replace(&mut self.pending_xfer, SimTime::ZERO)
+    }
+
+    /// Copy every dirty stream back to host memory, one d2h DMA each
+    /// (counted in `pcie.d2h_bytes`), and free every staged buffer. `aux`
+    /// is the slice given to [`StagedAux::stage`]. Returns, per dirty stream
+    /// in staging order, its d2h DMA time and its host-side apply time; each
+    /// caller charges them where its schedule puts the flush.
+    pub fn flush(
+        self,
+        machine: &mut Machine,
+        aux: &[StreamArray],
+        metrics: &mut MetricsRegistry,
+    ) -> Vec<(SimTime, SimTime)> {
+        let mut flushed = Vec::new();
+        for (i, (s, (_, buf))) in aux.iter().zip(&self.table).enumerate() {
+            if self.dirty & (1u64 << i.min(63)) != 0 {
+                let bytes = machine.gmem.dma_out(*buf, 0, s.len() as usize);
+                machine.hmem.write(s.region, 0, &bytes);
+                metrics.add("pcie.d2h_bytes", s.len());
+                let xfer = machine
+                    .link
+                    .dma_time_with_flag(DmaDirection::DeviceToHost, s.len());
+                let apply = cpu::cpu_stage_time(&machine.cpu, &CpuCost::streaming(s.len(), 2, 1), 1);
+                flushed.push((xfer, apply));
+            }
+            machine.gmem.free(*buf);
+        }
+        flushed
     }
 }
 
@@ -217,7 +264,7 @@ impl StagedAux {
 /// block's threads for the address-generation warps (the overlap-only
 /// variant launches none). Returns the occupancy and the thread-occupancy
 /// factor the GPU pools run at.
-pub(crate) fn block_occupancy(
+pub fn block_occupancy(
     machine: &Machine,
     kernels: &[&dyn StreamKernel],
     launch: LaunchConfig,
@@ -359,7 +406,7 @@ fn simulate_chunk(
     // bandwidth share. The first chunk that does any work also pays the
     // up-front aux-stream staging transfer.
     aux.dirty |= costs.aux_dirty;
-    costs.xfer += std::mem::replace(&mut aux.pending_xfer, SimTime::ZERO);
+    costs.xfer += aux.take_pending_xfer();
     row[2] = costs.xfer;
     if costs.xfer > SimTime::ZERO {
         let fixed = SimTime::from_secs(
@@ -646,25 +693,21 @@ fn run_core(
         Some(_) => fused_graph_depths(copy_engines, passes, depth, wb_depth),
         None => bigkernel_graph_depths(copy_engines, depth, wb_depth),
     };
-    let gpus = machine.num_gpus();
-    let new_executor = |spec: GraphSpec| Executor::new(spec, gpus, cfg.shard_policy);
-    let mut executor = new_executor(graph(cfg.buffer_depth, cfg.wb_depth()));
-
-    // Fault injection (see [`crate::fault`]): when a plan is configured the
-    // fault context replaces `executor.run` per window — inflating
-    // durations with retries, requeuing chunks off a dead device and
-    // degrading down its graph ladder (full depth → depth 1 → serial, each
-    // rung keeping the run's stage shape) when a stage exhausts its budget.
-    // Either way the functional simulation below is identical: faults
-    // perturb timing and placement only.
-    let mut fault_ctx = cfg.faults.clone().map(|plan| {
-        let serial = match fuse {
-            Some(_) => fused_serial_graph(passes),
-            None => serial_graph(&STAGE_NAMES),
-        };
-        let ladder = [graph(cfg.buffer_depth, cfg.wb_depth()), graph(1, 1), serial];
-        FaultContext::new(plan, gpus, cfg.shard_policy, ladder)
-    });
+    // Every rung of the executor's degradation ladder (full depth → depth 1
+    // → serial) keeps the run's stage shape. A fault plan inflates
+    // durations, requeues chunks off a dead device and degrades down the
+    // ladder when a stage exhausts its budget (see [`crate::fault`]); a run
+    // without one injects nothing. Either way the functional simulation
+    // below is identical: faults perturb timing and placement only.
+    let serial = match fuse {
+        Some(_) => fused_serial_graph(passes),
+        None => serial_graph(&STAGE_NAMES),
+    };
+    let ladder = [graph(cfg.buffer_depth, cfg.wb_depth()), graph(1, 1), serial];
+    let mut executor = Executor::with_ladder(ladder, machine.num_gpus(), cfg.shard_policy);
+    let no_faults = FaultPlan::default();
+    let faults = cfg.faults.as_ref().unwrap_or(&no_faults);
+    faults.check_devices(machine.num_gpus());
 
     // Adaptive occupancy autotuning (see [`crate::autotune`]): the §IV.D
     // buffer-set budget caps how many buffer sets per active block the
@@ -697,19 +740,8 @@ fn run_core(
 
     // Overlap-only with secondary streams: stage each whole aux stream to a
     // device buffer up front (see [`StagedAux`]).
-    let mut aux = StagedAux::empty();
-    if cfg.transfer_all && streams.len() > 1 {
-        for s in &streams[1..] {
-            let buf = machine.gmem.alloc(s.len().max(1));
-            let src = machine.hmem.read(s.region, 0, s.len() as usize).to_vec();
-            machine.gmem.dma_in(buf, 0, &src);
-            metrics.add("pcie.h2d_bytes", s.len());
-            aux.pending_xfer += machine
-                .link
-                .dma_time_with_flag(DmaDirection::HostToDevice, s.len());
-            aux.table.push((s.id, buf));
-        }
-    }
+    let staged: &[StreamArray] = if cfg.transfer_all { &streams[1..] } else { &[] };
+    let mut aux = StagedAux::stage(machine, staged, &mut metrics);
 
     let mut seen_fault_level = 0usize;
     for wave in 0..waves {
@@ -776,10 +808,8 @@ fn run_core(
             let left = durations.len() - idx;
             let win = tuner.as_ref().map_or(left, |t| t.window_len().min(left));
             let rows = &durations[idx..idx + win];
-            let sharded = match fault_ctx.as_mut() {
-                Some(fc) => fc.run_wave(wave as usize, total_chunks, total, rows, &mut metrics),
-                None => executor.run(rows),
-            };
+            let sharded =
+                executor.run_wave(faults, wave as usize, total_chunks, total, rows, &mut metrics);
             // Observability: spans (when a trace guard is live), per-stage
             // span histograms, stall.<stage>.<cause> totals and device.<d>.*
             // counters, offset into run-global chunk indices / simulated
@@ -804,23 +834,15 @@ fn run_core(
             // Degradation first: if the fault ladder swapped the graph
             // during this window, the controller adopts the degraded depths
             // and keeps tuning *that* graph.
-            if let Some(fc) = fault_ctx.as_mut() {
-                if fc.level() > seen_fault_level {
-                    seen_fault_level = fc.level();
-                    if let Some(plan) = tuner.on_degraded(seen_fault_level) {
-                        note_retune(&mut metrics, plan, total_chunks, total, window_stall);
-                    }
+            if executor.level() > seen_fault_level {
+                seen_fault_level = executor.level();
+                if let Some(plan) = tuner.on_degraded(seen_fault_level) {
+                    note_retune(&mut metrics, plan, total_chunks, total, window_stall);
                 }
             }
             if let Some(plan) = tuner.observe(&fb) {
                 note_retune(&mut metrics, plan, total_chunks, total, window_stall);
-                let spec = graph(plan.data_depth, plan.wb_depth);
-                match fault_ctx.as_mut() {
-                    Some(fc) => {
-                        fc.retune_current(spec);
-                    }
-                    None => executor = new_executor(spec),
-                }
+                executor.retune(graph(plan.data_depth, plan.wb_depth));
             }
         }
     }
@@ -828,19 +850,9 @@ fn run_core(
     // Flush dirty aux streams back to host and free the staged buffers. The
     // flush is a serial drain tail after the last chunk retires: one d2h DMA
     // plus the host-side apply per dirty stream.
-    for (i, (id, buf)) in aux.table.iter().enumerate() {
-        let s = &streams[id.0 as usize];
-        if aux.dirty & (1u64 << (i as u64).min(63)) != 0 {
-            let bytes = machine.gmem.dma_out(*buf, 0, s.len() as usize);
-            machine.hmem.write(s.region, 0, &bytes);
-            metrics.add("pcie.d2h_bytes", s.len());
-            total += machine
-                .link
-                .dma_time_with_flag(DmaDirection::DeviceToHost, s.len());
-            let apply = CpuCost::streaming(s.len(), 2, 1);
-            total += cpu::cpu_stage_terms(&machine.cpu, &apply, 1).duration();
-        }
-        machine.gmem.free(*buf);
+    for (xfer, apply) in aux.flush(machine, staged, &mut metrics) {
+        total += xfer;
+        total += apply;
     }
 
     finalize_stage_stats(&mut stage_stats, total_chunks);

@@ -38,7 +38,7 @@ pub struct StageDef {
 
 /// Buffer-reuse dependency: `producer` of chunk `i` waits for `consumer` of
 /// chunk `i - depth`.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReuseEdge {
     pub producer: usize,
     pub consumer: usize,
