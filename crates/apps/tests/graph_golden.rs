@@ -132,9 +132,9 @@ fn check_pass(app_name: &str, machine: &mut Machine, instance: &bk_apps::Instanc
     for wave in 0..waves {
         let rows = &durations[wave * per_wave..(wave + 1) * per_wave];
         let oracle = schedule(&spec, rows);
-        for local in 0..per_wave {
+        for (local, row) in rows.iter().enumerate() {
             for stage in 0..GOLDEN_STAGES.len() {
-                if rows[local][stage].is_zero() {
+                if row[stage].is_zero() {
                     continue;
                 }
                 let slot = oracle.slot(local, stage);

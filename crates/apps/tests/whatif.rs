@@ -25,6 +25,10 @@ use bk_apps::{run_implementation, BenchApp, HarnessConfig, Implementation};
 use bk_obs::critpath::WaveDag;
 use bk_runtime::{whatif, LaunchConfig, Machine, Perturbation, RunResult, ShardPolicy};
 
+/// A perturbation's config spelling: GPU count, data reuse depth and
+/// write-back depth (`None` follows the data depth).
+type DepthSpelling = (usize, usize, Option<usize>);
+
 /// The paper's seven application configurations, in Table I order.
 fn all_apps() -> Vec<Box<dyn BenchApp + Sync>> {
     vec![
@@ -109,7 +113,7 @@ fn structural_predictions_match_actual_reruns_for_every_app() {
         // Each structural perturbation paired with its config spelling.
         // Deepening one edge pins the other at the baseline depth (the
         // write-back depth follows the data depth when unset).
-        let cases: Vec<(&str, Perturbation, (usize, usize, Option<usize>))> = vec![
+        let cases: Vec<(&str, Perturbation, DepthSpelling)> = vec![
             (
                 "deeper data reuse",
                 Perturbation::SetReuseDepth {

@@ -34,12 +34,6 @@ pub struct ExpArgs {
     /// stall|critpath`); `None` keeps the controller default (raw stall
     /// fractions). Only meaningful when the autotuner is enabled.
     pub autotune_rank: Option<bk_runtime::RankBy>,
-    /// Assembly gather ordering (`--assembly-order natural|cache-blocked|auto`);
-    /// `None` keeps the config default (auto).
-    pub assembly_order: Option<bk_runtime::AssemblyOrder>,
-    /// Vectorized gather fast path (`--simd on|off`); `None` keeps the
-    /// config default (on).
-    pub simd: Option<bool>,
     /// Mega-kernel fusion (`--fuse` / `--fuse=off`, DESIGN.md §15); `None`
     /// keeps the config default (off). Refused pairs fall back to the
     /// unfused per-pass loop, so `--fuse` is always safe to pass.
@@ -67,8 +61,6 @@ impl Default for ExpArgs {
             buffers: None,
             autotune: None,
             autotune_rank: None,
-            assembly_order: None,
-            simd: None,
             fuse: None,
             window: None,
             queue_bound: None,
@@ -121,7 +113,6 @@ impl ExpArgs {
     /// `--threads N`, `--machine NAME`, `--gpus N`, `--faults SPEC`,
     /// `--reuse-depth N`, `--buffers N`, `--autotune on|off`,
     /// `--autotune-rank stall|critpath`,
-    /// `--assembly-order natural|cache-blocked|auto`, `--simd on|off`,
     /// `--fuse[=on|off]`, `--window bytes=N|records=N|interval-us=F`,
     /// `--queue-bound N` from an iterator of arguments (pass
     /// `std::env::args().skip(1)`). Error messages attribute unknown flags
@@ -227,25 +218,6 @@ impl ExpArgs {
                         }
                     };
                 }
-                "--assembly-order" => {
-                    out.assembly_order = match value("--assembly-order")?.as_str() {
-                        "natural" => Some(bk_runtime::AssemblyOrder::Natural),
-                        "cache-blocked" => Some(bk_runtime::AssemblyOrder::CacheBlocked),
-                        "auto" => Some(bk_runtime::AssemblyOrder::Auto),
-                        other => {
-                            return Err(format!(
-                            "--assembly-order: expected natural|cache-blocked|auto, got {other:?}"
-                        ))
-                        }
-                    };
-                }
-                "--simd" => {
-                    out.simd = match value("--simd")?.as_str() {
-                        "on" => Some(true),
-                        "off" => Some(false),
-                        other => return Err(format!("--simd: expected on|off, got {other:?}")),
-                    };
-                }
                 "--window" => {
                     let spec = value("--window")?;
                     out.window = Some(parse_window(binary, &spec)?);
@@ -275,7 +247,6 @@ impl ExpArgs {
                          [--machine gtx680|tesla-like|test-tiny] [--gpus N] [--faults SPEC] \
                          [--reuse-depth N] [--buffers N] [--autotune on|off] \
                          [--autotune-rank stall|critpath] \
-                         [--assembly-order natural|cache-blocked|auto] [--simd on|off] \
                          [--fuse[=on|off]] [--window bytes=N|records=N|interval-us=F] \
                          [--queue-bound N]\n\
                          fault SPEC: comma-separated seed=N,rate=F,retries=N,backoff_us=F,\
@@ -383,15 +354,6 @@ impl ExpArgs {
                 tune.rank_by = rank;
             }
         }
-        // Assembly knobs change wall-clock behaviour only — simulated
-        // results stay bit-identical — so they too apply to the bigkernel
-        // pipeline alone (the baselines have no gather stage).
-        if let Some(order) = self.assembly_order {
-            cfg.bigkernel.assembly_order = order;
-        }
-        if let Some(on) = self.simd {
-            cfg.bigkernel.simd_gather = on;
-        }
         // Fusion is a harness-level decision (it changes which runner the
         // BigKernel implementation uses); baselines always run unfused.
         if let Some(on) = self.fuse {
@@ -452,19 +414,6 @@ impl ExpArgs {
                     bk_runtime::RankBy::CritBlame => "critpath",
                 }
             ));
-        }
-        if let Some(order) = self.assembly_order {
-            parts.push(format!(
-                "--assembly-order {}",
-                match order {
-                    bk_runtime::AssemblyOrder::Natural => "natural",
-                    bk_runtime::AssemblyOrder::CacheBlocked => "cache-blocked",
-                    bk_runtime::AssemblyOrder::Auto => "auto",
-                }
-            ));
-        }
-        if let Some(on) = self.simd {
-            parts.push(format!("--simd {}", if on { "on" } else { "off" }));
         }
         if let Some(on) = self.fuse {
             parts.push(if on { "--fuse" } else { "--fuse=off" }.to_string());
@@ -690,14 +639,13 @@ mod tests {
             "on",
             "--autotune-rank",
             "critpath",
-            "--simd",
-            "off",
+            "--fuse",
         ])
         .unwrap();
         assert_eq!(
             a.flags_string(),
             "--bytes 4194304 --seed 7 --gpus 2 --autotune on \
-             --autotune-rank critpath --simd off"
+             --autotune-rank critpath --fuse"
         );
     }
 
@@ -711,39 +659,6 @@ mod tests {
         assert!(p.contains("\"flags\": \"--seed 9\""));
         assert!(p.contains("\"apps\": [\"word\", \"grep\"]"));
         assert_eq!(p.matches('{').count(), p.matches('}').count());
-    }
-
-    #[test]
-    fn assembly_order_flag() {
-        use bk_runtime::AssemblyOrder;
-        let a = parse(&["--assembly-order", "natural"]).unwrap();
-        assert_eq!(a.assembly_order, Some(AssemblyOrder::Natural));
-        let mut cfg = bk_apps::HarnessConfig::test_small();
-        assert_eq!(cfg.bigkernel.assembly_order, AssemblyOrder::Auto);
-        a.apply_platform(&mut cfg);
-        assert_eq!(cfg.bigkernel.assembly_order, AssemblyOrder::Natural);
-        let b = parse(&["--assembly-order", "cache-blocked"]).unwrap();
-        assert_eq!(b.assembly_order, Some(AssemblyOrder::CacheBlocked));
-        assert_eq!(
-            parse(&["--assembly-order", "auto"]).unwrap().assembly_order,
-            Some(AssemblyOrder::Auto)
-        );
-        assert!(parse(&["--assembly-order", "random"]).is_err());
-        assert!(parse(&["--assembly-order"]).is_err());
-    }
-
-    #[test]
-    fn simd_flag() {
-        let a = parse(&["--simd", "off"]).unwrap();
-        assert_eq!(a.simd, Some(false));
-        let mut cfg = bk_apps::HarnessConfig::test_small();
-        assert!(cfg.bigkernel.simd_gather);
-        a.apply_platform(&mut cfg);
-        assert!(!cfg.bigkernel.simd_gather);
-        parse(&["--simd", "on"]).unwrap().apply_platform(&mut cfg);
-        assert!(cfg.bigkernel.simd_gather);
-        assert!(parse(&["--simd", "maybe"]).is_err());
-        assert!(parse(&["--simd"]).is_err());
     }
 
     #[test]

@@ -158,19 +158,8 @@ fn top_stalls(r: &bk_runtime::RunResult) -> Vec<(&'static str, u64)> {
     v
 }
 
-/// JSON spelling of the assembly order — matches the `--assembly-order`
-/// flag values.
-fn order_name(order: bk_runtime::AssemblyOrder) -> &'static str {
-    match order {
-        bk_runtime::AssemblyOrder::Auto => "auto",
-        bk_runtime::AssemblyOrder::Natural => "natural",
-        bk_runtime::AssemblyOrder::CacheBlocked => "cache-blocked",
-    }
-}
-
 fn to_json(
     args: &ExpArgs,
-    cfg: &HarnessConfig,
     iters: usize,
     rows: &[Row],
     scaling: &[ScalingRow],
@@ -188,12 +177,6 @@ fn to_json(
             .unwrap_or_else(|| "null".into())
     );
     let _ = writeln!(out, "  \"iters\": {iters},");
-    let _ = writeln!(
-        out,
-        "  \"assembly_order\": \"{}\",",
-        order_name(cfg.bigkernel.assembly_order)
-    );
-    let _ = writeln!(out, "  \"simd\": {},", cfg.bigkernel.simd_gather);
     let app_names: Vec<&str> = rows.iter().map(|r| r.app).collect();
     let _ = writeln!(
         out,
@@ -634,7 +617,7 @@ fn main() {
         }
     }
 
-    let json = to_json(&args, &cfg, ITERS, &rows, &scaling, &fusion);
+    let json = to_json(&args, ITERS, &rows, &scaling, &fusion);
     std::fs::write("BENCH_pipeline.json", &json).expect("write BENCH_pipeline.json");
     println!("wrote BENCH_pipeline.json");
     if !fusion_ok {

@@ -23,8 +23,8 @@ fn main() {
 
     render::header("GPU scaling — chunks sharded across replicated devices");
     println!(
-        "{:<9} {:>5} {:>12} {:>9}   {}",
-        "app", "gpus", "time (s)", "speedup", "per-device overlap (busy/span)"
+        "{:<9} {:>5} {:>12} {:>9}   per-device overlap (busy/span)",
+        "app", "gpus", "time (s)", "speedup"
     );
 
     for app in all_apps() {

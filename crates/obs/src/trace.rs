@@ -71,7 +71,7 @@ mod imp {
     use std::cell::{Cell, RefCell};
 
     thread_local! {
-        static SINK: RefCell<Option<Vec<SpanRecord>>> = RefCell::new(None);
+        static SINK: RefCell<Option<Vec<SpanRecord>>> = const { RefCell::new(None) };
         static OFFSET: Cell<SimTime> = const { Cell::new(SimTime::ZERO) };
     }
 

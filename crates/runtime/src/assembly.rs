@@ -85,14 +85,12 @@ impl GatherConfig {
         }
     }
 
-    /// Extract the gather knobs from a full runtime configuration.
+    /// The gather of a full runtime configuration. The order and the SIMD
+    /// dispatch are chosen from the data (`Auto` blocking by LLC footprint,
+    /// SIMD by run length and width), so only layout and locality come from
+    /// the configuration.
     pub fn from_config(cfg: &crate::config::BigKernelConfig) -> Self {
-        GatherConfig {
-            layout: cfg.layout,
-            locality: cfg.locality_assembly,
-            order: cfg.assembly_order,
-            simd: cfg.simd_gather,
-        }
+        GatherConfig::new(cfg.layout, cfg.locality_assembly)
     }
 }
 

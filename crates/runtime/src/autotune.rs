@@ -438,8 +438,10 @@ mod tests {
 
     #[test]
     fn crit_blame_ranking_overrides_raw_stall_totals() {
-        let mut cfg = AutotuneConfig::default();
-        cfg.rank_by = RankBy::CritBlame;
+        let cfg = AutotuneConfig {
+            rank_by: RankBy::CritBlame,
+            ..AutotuneConfig::default()
+        };
         let mut a = Autotuner::new(
             cfg,
             TunePlan {

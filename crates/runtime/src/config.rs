@@ -72,14 +72,6 @@ pub struct BigKernelConfig {
     pub locality_assembly: bool,
     /// Chunk-buffer layout (Interleaved = coalescing optimization on).
     pub layout: AssemblyLayout,
-    /// Gather element order for the assembly stage (see [`AssemblyOrder`]).
-    /// Purely a cost/throughput knob: buffers are bit-identical across
-    /// orders.
-    pub assembly_order: AssemblyOrder,
-    /// Vectorized gather fast path: copy long contiguous runs with unrolled
-    /// word-wide moves instead of per-element loads. Bit-identical to the
-    /// scalar path (property-tested); purely a simulator-throughput knob.
-    pub simd_gather: bool,
     /// Transfer *all* input data verbatim instead of only addressed bytes —
     /// the Fig. 5 "overlap only" variant (address generation and gather are
     /// skipped; the pipeline overlap is the only remaining benefit).
@@ -101,9 +93,9 @@ pub struct BigKernelConfig {
     /// identical under every policy and device count.
     pub shard_policy: ShardPolicy,
     /// Deterministic fault injection (see [`crate::fault`]). `None` (the
-    /// default) takes the exact fault-free code path. Like `shard_policy`,
-    /// faults perturb only durations and chunk placement — outputs stay
-    /// bit-identical to the fault-free run for any plan that completes.
+    /// default) injects no faults. Like `shard_policy`, faults perturb only
+    /// durations and chunk placement — outputs stay bit-identical to the
+    /// fault-free run for any plan that completes.
     pub faults: Option<FaultPlan>,
     /// Adaptive occupancy autotuning (see [`crate::autotune`]). `None` (the
     /// default) takes the exact static code path. Tuning re-plans buffer
@@ -123,8 +115,6 @@ impl Default for BigKernelConfig {
             segmented_patterns: true,
             locality_assembly: true,
             layout: AssemblyLayout::Interleaved,
-            assembly_order: AssemblyOrder::Auto,
-            simd_gather: true,
             transfer_all: false,
             sync: SyncMode::IterationBarrier,
             verify_reads: true,
@@ -196,8 +186,6 @@ mod tests {
         assert_eq!(c.buffer_depth, 3);
         assert!(c.pattern_recognition);
         assert_eq!(c.layout, AssemblyLayout::Interleaved);
-        assert_eq!(c.assembly_order, AssemblyOrder::Auto);
-        assert!(c.simd_gather);
         assert!(!c.transfer_all);
     }
 

@@ -381,9 +381,8 @@ impl FaultPlan {
                     // The failed attempt ran (and was discarded), then the
                     // retry waited out the exponential backoff.
                     extra += clean;
-                    extra += SimTime::from_secs(
-                        self.backoff.secs() * (1u64 << attempts.min(62)) as f64,
-                    );
+                    extra +=
+                        SimTime::from_secs(self.backoff.secs() * (1u64 << attempts.min(62)) as f64);
                     attempts += 1;
                 }
                 if attempts > 0 {

@@ -502,7 +502,7 @@ mod tests {
     fn single_and_too_many_refuse() {
         let [a, b] = kmeans_like();
         assert_eq!(
-            FusePlan::analyze(&[a.clone()], 1, &[]),
+            FusePlan::analyze(std::slice::from_ref(&a), 1, &[]),
             Err(FuseRefusal::SinglePass)
         );
         let five = vec![a.clone(), b, a.clone(), a.clone(), a];

@@ -855,7 +855,13 @@ impl Executor {
         let devices: Vec<usize> = (0..self.alive.len()).filter(|&d| self.alive[d]).collect();
         let mut owned = vec![Vec::new(); devices.len()];
         let mut load = vec![SimTime::ZERO; devices.len()];
-        deal_chunks(self.policy, &mut owned, &mut load, 0..durations.len(), durations);
+        deal_chunks(
+            self.policy,
+            &mut owned,
+            &mut load,
+            0..durations.len(),
+            durations,
+        );
         Dealt {
             devices,
             owned,
@@ -1250,7 +1256,13 @@ mod tests {
     /// A fresh deal of every row of `rows` onto `n` targets.
     fn deal(policy: ShardPolicy, n: usize, rows: &[Vec<SimTime>]) -> Vec<Vec<usize>> {
         let mut owned = vec![Vec::new(); n];
-        deal_chunks(policy, &mut owned, &mut vec![SimTime::ZERO; n], 0..rows.len(), rows);
+        deal_chunks(
+            policy,
+            &mut owned,
+            &mut vec![SimTime::ZERO; n],
+            0..rows.len(),
+            rows,
+        );
         owned
     }
 
@@ -1340,9 +1352,15 @@ mod tests {
         let mut exec = Executor::with_ladder(ladder(), 1, ShardPolicy::RoundRobin);
         let rows = vec![vec![t(0.2), t(0.9), t(0.7), t(1.3), t(0.3), t(0.2)]; 6];
         assert!(exec.retune(bigkernel_graph(1, 4)));
-        assert_eq!(exec.run(&rows), Executor::new(bigkernel_graph(1, 4), 1, ShardPolicy::RoundRobin).run(&rows));
+        assert_eq!(
+            exec.run(&rows),
+            Executor::new(bigkernel_graph(1, 4), 1, ShardPolicy::RoundRobin).run(&rows)
+        );
         assert!(exec.degrade());
-        assert!(exec.retune(bigkernel_graph(1, 2)), "a degraded rung is retunable");
+        assert!(
+            exec.retune(bigkernel_graph(1, 2)),
+            "a degraded rung is retunable"
+        );
         assert!(exec.degrade());
         assert_eq!(exec.level(), 2);
         let serial = exec.run(&rows);

@@ -203,7 +203,11 @@ pub struct StagedAux {
 impl StagedAux {
     /// Stage every stream of `aux` (a run's secondary streams) whole to a
     /// device buffer, counting the bytes in `pcie.h2d_bytes`.
-    pub fn stage(machine: &mut Machine, aux: &[StreamArray], metrics: &mut MetricsRegistry) -> Self {
+    pub fn stage(
+        machine: &mut Machine,
+        aux: &[StreamArray],
+        metrics: &mut MetricsRegistry,
+    ) -> Self {
         let mut staged = StagedAux {
             table: Vec::with_capacity(aux.len()),
             dirty: 0,
@@ -248,7 +252,8 @@ impl StagedAux {
                 let xfer = machine
                     .link
                     .dma_time_with_flag(DmaDirection::DeviceToHost, s.len());
-                let apply = cpu::cpu_stage_time(&machine.cpu, &CpuCost::streaming(s.len(), 2, 1), 1);
+                let apply =
+                    cpu::cpu_stage_time(&machine.cpu, &CpuCost::streaming(s.len(), 2, 1), 1);
                 flushed.push((xfer, apply));
             }
             machine.gmem.free(*buf);
@@ -808,8 +813,14 @@ fn run_core(
             let left = durations.len() - idx;
             let win = tuner.as_ref().map_or(left, |t| t.window_len().min(left));
             let rows = &durations[idx..idx + win];
-            let sharded =
-                executor.run_wave(faults, wave as usize, total_chunks, total, rows, &mut metrics);
+            let sharded = executor.run_wave(
+                faults,
+                wave as usize,
+                total_chunks,
+                total,
+                rows,
+                &mut metrics,
+            );
             // Observability: spans (when a trace guard is live), per-stage
             // span histograms, stall.<stage>.<cause> totals and device.<d>.*
             // counters, offset into run-global chunk indices / simulated
