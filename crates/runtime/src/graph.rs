@@ -743,7 +743,17 @@ impl Executor {
     /// `spec`'s resources according to `policy`. Its ladder has the one
     /// rung, so it never degrades.
     pub fn new(spec: GraphSpec, num_devices: usize, policy: ShardPolicy) -> Self {
-        Self::build(vec![spec], num_devices, policy)
+        assert!(num_devices >= 1, "need at least one device");
+        assert!(
+            num_devices <= MAX_DEVICES,
+            "at most {MAX_DEVICES} simulated devices"
+        );
+        Executor {
+            ladder: vec![spec],
+            level: 0,
+            alive: vec![true; num_devices],
+            policy,
+        }
     }
 
     /// An executor over a full degradation ladder: the run's graph, its
@@ -751,21 +761,10 @@ impl Executor {
     /// keeps the run's stage shape (six stages, or `6 × passes` for a fused
     /// program), so stage indices stay stable across a degradation.
     pub fn with_ladder(ladder: [GraphSpec; 3], num_devices: usize, policy: ShardPolicy) -> Self {
-        Self::build(ladder.into(), num_devices, policy)
-    }
-
-    fn build(ladder: Vec<GraphSpec>, num_devices: usize, policy: ShardPolicy) -> Self {
-        assert!(num_devices >= 1, "need at least one device");
-        assert!(
-            num_devices <= MAX_DEVICES,
-            "at most {MAX_DEVICES} simulated devices"
-        );
-        Executor {
-            ladder,
-            level: 0,
-            alive: vec![true; num_devices],
-            policy,
-        }
+        let [run, depth_one, serial] = ladder;
+        let mut exec = Executor::new(run, num_devices, policy);
+        exec.ladder.extend([depth_one, serial]);
+        exec
     }
 
     /// The rung in use (0 = the run's graph). The autotuner reads this after
@@ -780,7 +779,7 @@ impl Executor {
     /// was applied. Degrading still moves to the untouched next rung, and a
     /// degraded rung is itself retunable.
     pub fn retune(&mut self, spec: GraphSpec) -> bool {
-        if self.ladder.len() > SERIAL_RUNG && self.level == SERIAL_RUNG {
+        if self.level == SERIAL_RUNG {
             return false;
         }
         self.ladder[self.level] = spec;
