@@ -18,8 +18,9 @@
 //! `DeviceEffects::Sequential` kernel (assembled and overlap-only), the
 //! streaming runner in window-major and pass-major order, the GPU single-
 //! and double-buffer baselines on one and two GPUs, and unfused BigKernel
-//! under least-loaded sharding on two GPUs, clean and with device 1 failing
-//! over at wave 0.
+//! under least-loaded sharding on two and three GPUs, clean and with device
+//! 1 failing over at wave 0 (on three GPUs its chunks requeue by the two
+//! survivors' loads).
 //!
 //! On a mismatch the test prints the digest of every configuration in
 //! fixture format; a deliberate change to simulated timing replaces the
@@ -295,12 +296,14 @@ fn computed() -> BTreeMap<String, u64> {
             }
         }
     }
-    for faulted in [false, true] {
-        let mut cfg = base_cfg(2, false, faulted);
+    // On three GPUs the kill leaves two survivors, so the requeue deals by
+    // their running loads.
+    for (gpus, faulted) in [(2usize, false), (2, true), (3, false), (3, true)] {
+        let mut cfg = base_cfg(gpus, false, faulted);
         cfg.bigkernel.shard_policy = ShardPolicy::LeastLoaded;
         for app in apps() {
             let key = format!(
-                "gpus2.least-loaded.untuned.{}.unfused.{}",
+                "gpus{gpus}.least-loaded.untuned.{}.unfused.{}",
                 if faulted { "faulted" } else { "clean" },
                 app.spec().name
             );
