@@ -321,6 +321,64 @@ fn run_one(
     }
 }
 
+/// The simulated platform `cfg` describes: the platform preset, replicated
+/// to `cfg.gpus` devices, with the `link` override and the fixed-cost scale
+/// applied.
+pub fn build_machine(cfg: &HarnessConfig) -> Machine {
+    let mut machine = (cfg.machine)();
+    machine.replicate_gpus(cfg.gpus);
+    if let Some(link) = &cfg.link {
+        machine.link = link.clone();
+    }
+    machine.scale_fixed_costs(cfg.fixed_cost_scale);
+    machine
+}
+
+/// What [`run_checked`] hands back: the caller's result, the machine the
+/// run left behind, and the outcome of the app's output verification.
+pub struct Checked<T> {
+    /// The app's [`AppSpec::name`].
+    pub app: &'static str,
+    pub result: T,
+    pub machine: Machine,
+    /// [`Instance::verify`] on `machine` after the run.
+    pub verified: Result<(), String>,
+}
+
+impl<T> Checked<T> {
+    /// The result and the machine; panics, naming the app and `under`, if
+    /// the outputs failed verification.
+    pub fn expect_verified(self, under: &str) -> (T, Machine) {
+        if let Err(e) = self.verified {
+            panic!("{} failed verification under {under}: {e}", self.app);
+        }
+        (self.result, self.machine)
+    }
+}
+
+/// Generate ~`bytes` of `app`'s input (deterministic in `seed`) on a fresh
+/// [`build_machine`], run it with `run`, then verify the outputs.
+/// Generation and verification happen outside `run`, so a caller that
+/// times or traces inside it measures the run alone.
+pub fn run_checked<T>(
+    app: &dyn BenchApp,
+    bytes: u64,
+    seed: u64,
+    cfg: &HarnessConfig,
+    run: impl FnOnce(&mut Machine, &Instance) -> T,
+) -> Checked<T> {
+    let mut machine = build_machine(cfg);
+    let instance = app.instantiate(&mut machine, bytes, seed);
+    let result = run(&mut machine, &instance);
+    let verified = (instance.verify)(&machine);
+    Checked {
+        app: app.spec().name,
+        result,
+        machine,
+        verified,
+    }
+}
+
 /// Run `app` under each of `imps` on identical data (fresh machine + same
 /// seed per implementation), verifying every run. Returns results in the
 /// order of `imps`.
@@ -339,21 +397,10 @@ pub fn run_all(
     use rayon::prelude::*;
     imps.par_iter()
         .map(|&imp| {
-            let mut machine = (cfg.machine)();
-            machine.replicate_gpus(cfg.gpus);
-            if let Some(link) = &cfg.link {
-                machine.link = link.clone();
-            }
-            machine.scale_fixed_costs(cfg.fixed_cost_scale);
-            let instance = app.instantiate(&mut machine, bytes, seed);
-            let result = run_implementation(&mut machine, &instance, imp, cfg);
-            if let Err(e) = (instance.verify)(&machine) {
-                panic!(
-                    "{} failed verification under {}: {e}",
-                    app.spec().name,
-                    imp.label()
-                );
-            }
+            let (result, _) = run_checked(app, bytes, seed, cfg, |m, i| {
+                run_implementation(m, i, imp, cfg)
+            })
+            .expect_verified(imp.label());
             (imp, result)
         })
         .collect()
@@ -401,6 +448,37 @@ mod tests {
             vec![res("p1", 1.0, "compute"), res("p2", 2.0, "transfer")],
         );
         assert_eq!(merged.stages.len(), 2);
+    }
+
+    #[test]
+    fn build_machine_applies_gpus_then_link_then_fixed_cost_scale() {
+        let link = bk_host::PcieLink::gen1_x16();
+        let cfg = HarnessConfig {
+            gpus: 3,
+            link: Some(link.clone()),
+            fixed_cost_scale: 0.5,
+            ..HarnessConfig::test_small()
+        };
+        let m = build_machine(&cfg);
+        assert_eq!(m.num_gpus(), 3);
+        assert_eq!(m.link.bw_h2d, link.bw_h2d);
+        assert_eq!(
+            m.link.latency,
+            link.latency * 0.5,
+            "the override is scaled too"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "K-means failed verification under bigkernel: boom")]
+    fn expect_verified_names_the_app_and_the_run() {
+        let checked = Checked {
+            app: "K-means",
+            result: (),
+            machine: Machine::test_platform(),
+            verified: Err("boom".into()),
+        };
+        let _ = checked.expect_verified("bigkernel");
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //! | [`affinity`] | MasterCard Affinity | variable | whole text | 100% | 0% |
 //! | [`affinity`] | … (indexed) | variable+index | card+merchant fields | ~25% | 0% |
 //!
-//! [`harness`] runs any app under all five implementations (plus the Fig. 5
-//! ablation variants) on identical data and verifies functional equality.
+//! [`harness`] builds the machine a [`HarnessConfig`] describes, runs any app
+//! on it under all five implementations (plus the Fig. 5 ablation variants)
+//! on identical data, and verifies every run's output ([`run_checked`]).
 //! [`streaming`] feeds any app through the continuous ingestion runner and
 //! adds drifting variants of Word Count, FilterCount and K-means whose
 //! distribution or record schema shifts mid-stream (DESIGN.md §16).
@@ -36,9 +37,10 @@ pub mod util;
 pub mod wordcount;
 
 pub use harness::{
-    run_all, run_implementation, AppSpec, BenchApp, HarnessConfig, Implementation, Instance,
+    build_machine, run_all, run_checked, run_implementation, AppSpec, BenchApp, Checked,
+    HarnessConfig, Implementation, Instance,
 };
 pub use streaming::{
-    drifting_apps, run_streamed, run_streamed_at_rate, DriftingFilterCount, DriftingKMeans,
-    DriftingWordCount,
+    drifting_apps, run_streamed, run_streamed_at_rate, run_streamed_checked, DriftingFilterCount,
+    DriftingKMeans, DriftingWordCount,
 };

@@ -24,7 +24,7 @@
 //! output, computed record-by-record at generation time — so the streamed ≡
 //! batch determinism contract holds for them like for every other app.
 
-use crate::harness::{AppSpec, BenchApp, HarnessConfig, Instance};
+use crate::harness::{run_checked, AppSpec, BenchApp, Checked, HarnessConfig, Instance};
 use crate::kmeans::closest_cluster;
 use crate::util::DevHashTable;
 use crate::wordcount::{generate_text_sized, reference_counts, WordCountKernel, MAX_WORD};
@@ -40,12 +40,8 @@ use std::ops::Range;
 /// Run `app` through the streaming runner over a source built by
 /// `make_source` (called with the mapped primary stream's byte length), then
 /// check the app's exact-output verification. Panics — like
-/// [`run_all`](crate::harness::run_all) — if verification fails.
-///
-/// The machine setup mirrors the batch harness (GPU replication, link
-/// override, fixed-cost scaling), so streamed results are comparable with
-/// batch results from the same [`HarnessConfig`]. Multi-pass apps run
-/// unfused; pass ordering is the streaming runner's concern.
+/// [`run_all`](crate::harness::run_all) — if verification fails;
+/// [`run_streamed_checked`] returns the outcome instead.
 pub fn run_streamed(
     app: &dyn BenchApp,
     bytes: u64,
@@ -54,35 +50,40 @@ pub fn run_streamed(
     scfg: &StreamConfig,
     make_source: &dyn Fn(u64) -> Box<dyn Source>,
 ) -> (StreamResult, Machine) {
-    let mut machine = (cfg.machine)();
-    machine.replicate_gpus(cfg.gpus);
-    if let Some(link) = &cfg.link {
-        machine.link = link.clone();
-    }
-    machine.scale_fixed_costs(cfg.fixed_cost_scale);
-    let instance = app.instantiate(&mut machine, bytes, seed);
-    let kernels: Vec<&dyn StreamKernel> = instance
-        .kernels
-        .iter()
-        .map(|k| k.as_ref() as &dyn StreamKernel)
-        .collect();
-    let source = make_source(instance.streams[0].len());
-    let result = run_bigkernel_streamed(
-        &mut machine,
-        &kernels,
-        &instance.streams,
-        cfg.launch,
-        &cfg.bigkernel,
-        scfg,
-        source.as_ref(),
-    );
-    if let Err(e) = (instance.verify)(&machine) {
-        panic!(
-            "{} failed verification under streaming: {e}",
-            app.spec().name
-        );
-    }
-    (result, machine)
+    run_streamed_checked(app, bytes, seed, cfg, scfg, make_source).expect_verified("streaming")
+}
+
+/// [`run_streamed`] with the verification outcome returned, not judged.
+///
+/// The machine is the batch harness's
+/// [`build_machine`](crate::build_machine), so streamed results are
+/// comparable with batch results from the same [`HarnessConfig`]. Multi-pass
+/// apps run unfused; pass ordering is the streaming runner's concern.
+pub fn run_streamed_checked(
+    app: &dyn BenchApp,
+    bytes: u64,
+    seed: u64,
+    cfg: &HarnessConfig,
+    scfg: &StreamConfig,
+    make_source: &dyn Fn(u64) -> Box<dyn Source>,
+) -> Checked<StreamResult> {
+    run_checked(app, bytes, seed, cfg, |machine, instance| {
+        let kernels: Vec<&dyn StreamKernel> = instance
+            .kernels
+            .iter()
+            .map(|k| k.as_ref() as &dyn StreamKernel)
+            .collect();
+        let source = make_source(instance.streams[0].len());
+        run_bigkernel_streamed(
+            machine,
+            &kernels,
+            &instance.streams,
+            cfg.launch,
+            &cfg.bigkernel,
+            scfg,
+            source.as_ref(),
+        )
+    })
 }
 
 /// [`run_streamed`] over a constant-rate [`ReplaySource`] delivering

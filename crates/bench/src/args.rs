@@ -302,6 +302,23 @@ impl ExpArgs {
         }
     }
 
+    /// The apps of `apps` the `--app` filter selects, in their order.
+    pub fn select(
+        &self,
+        mut apps: Vec<Box<dyn bk_apps::BenchApp + Sync>>,
+    ) -> Vec<Box<dyn bk_apps::BenchApp + Sync>> {
+        apps.retain(|a| self.selected(a.spec().name));
+        apps
+    }
+
+    /// The paper-platform config scaled to `--bytes`, with every flag
+    /// applied ([`apply`](Self::apply)).
+    pub fn harness_config(&self) -> bk_apps::HarnessConfig {
+        let mut cfg = bk_apps::HarnessConfig::paper_scaled(self.bytes);
+        self.apply(&mut cfg);
+        cfg
+    }
+
     /// Cap the global rayon pool at `--threads` (call once, before the
     /// first parallel region). `--threads 1` also forces the sequential
     /// block-simulation path in `cfg` — bit-identical, just single-threaded.
@@ -510,6 +527,21 @@ mod tests {
         assert!(parse(&["--app", "k-means"]).unwrap().selected("Kmeans"));
         assert!(parse(&["--app", "DNA"]).unwrap().selected("dna-assembly"));
         assert!(!a.selected("Netflix"));
+    }
+
+    #[test]
+    fn select_keeps_matching_apps_in_order() {
+        let names = |a: ExpArgs| -> Vec<&str> {
+            a.select(crate::all_apps())
+                .iter()
+                .map(|app| app.spec().name)
+                .collect()
+        };
+        assert_eq!(
+            names(parse(&["--app", "mastercard"]).unwrap()),
+            ["MasterCard Affinity", "MasterCard Affinity (indexed)"]
+        );
+        assert_eq!(names(parse(&[]).unwrap()).len(), 7);
     }
 
     #[test]

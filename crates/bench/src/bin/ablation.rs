@@ -10,12 +10,6 @@ use bk_apps::{run_all, BenchApp, HarnessConfig, Implementation};
 use bk_bench::{args::ExpArgs, render};
 use bk_runtime::SyncMode;
 
-fn scaled(args: &ExpArgs) -> HarnessConfig {
-    let mut cfg = HarnessConfig::paper_scaled(args.bytes);
-    args.apply(&mut cfg);
-    cfg
-}
-
 fn run_one(app: &(dyn BenchApp + Sync), bytes: u64, seed: u64, cfg: &HarnessConfig) -> f64 {
     let r = run_all(app, bytes, seed, cfg, &[Implementation::BigKernel]);
     r[0].1.total.secs()
@@ -36,7 +30,7 @@ fn main() {
     for (name, app) in &apps {
         print!("{name:<12}");
         for depth in 1..=4usize {
-            let mut cfg = scaled(&args);
+            let mut cfg = args.harness_config();
             cfg.bigkernel.buffer_depth = depth;
             print!(
                 " {:>9.2}ms",
@@ -53,7 +47,7 @@ fn main() {
         "app", "iter-barrier", "per-buffer-flags"
     );
     for (name, app) in &apps {
-        let mut a = scaled(&args);
+        let mut a = args.harness_config();
         // Flag/busy-wait costs are fixed latencies; run this ablation with
         // them unscaled so the footnote-3 tradeoff is visible at any size.
         a.fixed_cost_scale = 1.0;
@@ -70,7 +64,7 @@ fn main() {
     render::header("Ablation: §IV.B locality-ordered assembly");
     println!("{:<12} {:>12} {:>12}", "app", "locality on", "locality off");
     for (name, app) in &apps {
-        let mut on = scaled(&args);
+        let mut on = args.harness_config();
         on.bigkernel.locality_assembly = true;
         let mut off = on.clone();
         off.bigkernel.locality_assembly = false;
@@ -89,7 +83,7 @@ fn main() {
     for (name, app) in &apps {
         print!("{name:<12}");
         for mult in [0.25, 0.5, 1.0, 2.0] {
-            let mut cfg = scaled(&args);
+            let mut cfg = args.harness_config();
             cfg.bigkernel.chunk_input_bytes =
                 ((cfg.bigkernel.chunk_input_bytes as f64 * mult) as u64).max(4096);
             print!(
@@ -108,7 +102,7 @@ fn main() {
         "app", "1 engine", "2 engines"
     );
     for (name, app) in &apps {
-        let mut one = scaled(&args);
+        let mut one = args.harness_config();
         one.machine = bk_runtime::Machine::paper_platform;
         let mut two = one.clone();
         two.machine = bk_runtime::Machine::tesla_platform;
@@ -129,7 +123,7 @@ fn main() {
     for (name, app) in &apps {
         print!("{name:<12}");
         for blocks in [4u32, 16, 64] {
-            let mut cfg = scaled(&args);
+            let mut cfg = args.harness_config();
             cfg.launch = bk_runtime::LaunchConfig::new(blocks, 128);
             cfg.bigkernel.chunk_input_bytes = (args.bytes / (blocks as u64 * 12)).max(16 * 1024);
             print!(

@@ -26,7 +26,7 @@
 //! re-planned, or if an adaptive run's functional byte counters diverge
 //! from its static depth-3 baseline — this doubles as the CI smoke check.
 
-use bk_apps::{run_implementation, HarnessConfig, Implementation};
+use bk_apps::{run_checked, run_implementation, HarnessConfig, Implementation};
 use bk_bench::{all_apps, args::ExpArgs, short_name};
 use bk_runtime::AutotuneConfig;
 use std::fmt::Write as _;
@@ -112,15 +112,13 @@ fn run_mode_once(
     cfg.bigkernel.buffer_depth = depth;
     cfg.bigkernel.wb_buffer_depth = None; // write-back follows the data depth
     cfg.bigkernel.autotune = tune;
-    let mut machine = (cfg.machine)();
-    machine.replicate_gpus(cfg.gpus);
-    machine.scale_fixed_costs(cfg.fixed_cost_scale);
-    let instance = app.instantiate(&mut machine, bytes, seed);
-    let t0 = Instant::now();
-    let r = run_implementation(&mut machine, &instance, Implementation::BigKernel, &cfg);
-    let dt = t0.elapsed().as_secs_f64();
-    let verified = (instance.verify)(&machine).is_ok();
-    (r, verified, dt)
+    let run = run_checked(app, bytes, seed, &cfg, |m, i| {
+        let t0 = Instant::now();
+        let r = run_implementation(m, i, Implementation::BigKernel, &cfg);
+        (r, t0.elapsed().as_secs_f64())
+    });
+    let (r, dt) = run.result;
+    (r, run.verified.is_ok(), dt)
 }
 
 fn row_from(
@@ -223,8 +221,7 @@ fn to_json(args: &ExpArgs, rows: &[Row], summary: &[Summary]) -> String {
 
 fn main() {
     let args = ExpArgs::from_env();
-    let mut cfg = HarnessConfig::paper_scaled(args.bytes);
-    args.apply(&mut cfg);
+    let mut cfg = args.harness_config();
     // The sweep drives depth and tuner state itself; keep only a
     // user-supplied controller config (via `--autotune on`) for the
     // adaptive runs.
@@ -233,11 +230,8 @@ fn main() {
 
     let mut rows: Vec<Row> = Vec::new();
     let mut summary: Vec<Summary> = Vec::new();
-    for app in all_apps() {
+    for app in args.select(all_apps()) {
         let name = app.spec().name;
-        if !args.selected(name) {
-            continue;
-        }
         let short = short_name(name);
         // Interleave the modes across timing iterations (all modes once per
         // round, best-of over rounds) so a host load spike degrades every

@@ -23,8 +23,8 @@
 //! `bottleneck [--mib N] [--seed S] [--app SUBSTR] [--threads N]
 //! [--machine NAME] [--gpus N] [--reuse-depth N] [--buffers N]`.
 
-use bk_apps::{run_implementation, HarnessConfig, Implementation};
-use bk_bench::{all_apps, args::ExpArgs, short_name};
+use bk_apps::{run_checked, run_implementation, HarnessConfig, Implementation};
+use bk_bench::{all_apps, args::ExpArgs, checked_bigkernel, short_name};
 use bk_obs::critpath::WaveDag;
 use bk_runtime::{whatif, Perturbation};
 use bk_simcore::SimTime;
@@ -36,20 +36,20 @@ const STRUCTURAL_TOL: f64 = 0.01;
 /// it only accrues ulp-level error from reconstructing durations.
 const IDENTITY_TOL: f64 = 1e-6;
 
-/// One BigKernel run with the schedule-capture guard live.
+/// One verified BigKernel run with the schedule-capture guard live.
 fn run_captured(
     app: &dyn bk_apps::BenchApp,
     cfg: &HarnessConfig,
     bytes: u64,
     seed: u64,
 ) -> (bk_runtime::RunResult, Vec<WaveDag>) {
-    let mut machine = (cfg.machine)();
-    machine.replicate_gpus(cfg.gpus);
-    machine.scale_fixed_costs(cfg.fixed_cost_scale);
-    let instance = app.instantiate(&mut machine, bytes, seed);
-    let guard = bk_obs::critpath::capture();
-    let r = run_implementation(&mut machine, &instance, Implementation::BigKernel, cfg);
-    (r, guard.finish())
+    let (captured, _) = run_checked(app, bytes, seed, cfg, |m, i| {
+        let guard = bk_obs::critpath::capture();
+        let r = run_implementation(m, i, Implementation::BigKernel, cfg);
+        (r, guard.finish())
+    })
+    .expect_verified("bigkernel");
+    captured
 }
 
 /// Re-run the full pipeline with `p` applied through the config, for
@@ -78,11 +78,8 @@ fn run_perturbed(
         Perturbation::AddDevice => cfg.gpus += 1,
         _ => return None,
     }
-    let mut machine = (cfg.machine)();
-    machine.replicate_gpus(cfg.gpus);
-    machine.scale_fixed_costs(cfg.fixed_cost_scale);
-    let instance = app.instantiate(&mut machine, bytes, seed);
-    Some(run_implementation(&mut machine, &instance, Implementation::BigKernel, &cfg).total)
+    let (r, _) = checked_bigkernel(app, bytes, seed, &cfg).expect_verified("bigkernel");
+    Some(r.total)
 }
 
 fn print_blame<K: std::fmt::Display>(label: &str, items: &[(K, u64)], report: &bk_obs::CritReport) {
@@ -95,8 +92,7 @@ fn print_blame<K: std::fmt::Display>(label: &str, items: &[(K, u64)], report: &b
 
 fn main() {
     let args = ExpArgs::from_env();
-    let mut cfg = HarnessConfig::paper_scaled(args.bytes);
-    args.apply(&mut cfg);
+    let cfg = args.harness_config();
     // The makespan identity and the structural re-runs both assume the
     // captured schedule is the pure depth/device configuration; the tuner
     // re-plans mid-run and fault plans perturb durations, so those modes
@@ -105,11 +101,8 @@ fn main() {
 
     let mut failures = 0usize;
     let mut ran = 0usize;
-    for app in all_apps() {
+    for app in args.select(all_apps()) {
         let name = app.spec().name;
-        if !args.selected(name) {
-            continue;
-        }
         ran += 1;
         let (r, waves) = run_captured(app.as_ref(), &cfg, args.bytes, args.seed);
         let report = bk_obs::analyze(&waves);

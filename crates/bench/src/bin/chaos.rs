@@ -16,8 +16,8 @@
 //! A `--faults` spec seeds the sweep template (its `retries`, `backoff_us`
 //! and `fail=` sites are kept; the rate is overridden per sweep point).
 
-use bk_apps::{run_implementation, HarnessConfig, Implementation};
-use bk_bench::{all_apps, args::ExpArgs, short_name};
+use bk_apps::HarnessConfig;
+use bk_bench::{all_apps, args::ExpArgs, checked_bigkernel, short_name};
 use bk_runtime::{DeviceFailure, FaultPlan};
 use std::fmt::Write as _;
 
@@ -52,6 +52,7 @@ struct FailoverRow {
     clean_sim_secs: f64,
     slowdown: f64,
     failed_over: u64,
+    /// Both the clean and the faulted run verified.
     verified: bool,
 }
 
@@ -65,22 +66,14 @@ fn run_with_faults(
 ) -> (bk_runtime::RunResult, bool) {
     let mut cfg = cfg.clone();
     cfg.bigkernel.faults = faults;
-    let mut machine = (cfg.machine)();
-    machine.replicate_gpus(cfg.gpus);
-    machine.scale_fixed_costs(cfg.fixed_cost_scale);
-    let instance = app.instantiate(&mut machine, bytes, seed);
-    let r = run_implementation(&mut machine, &instance, Implementation::BigKernel, &cfg);
-    let verified = (instance.verify)(&machine).is_ok();
-    (r, verified)
+    let run = checked_bigkernel(app, bytes, seed, &cfg);
+    (run.result, run.verified.is_ok())
 }
 
 fn sweep(args: &ExpArgs, cfg: &HarnessConfig, template: &FaultPlan) -> Vec<SweepRow> {
     let mut rows = Vec::new();
-    for app in all_apps() {
+    for app in args.select(all_apps()) {
         let name = app.spec().name;
-        if !args.selected(name) {
-            continue;
-        }
         let mut clean_secs = 0.0;
         for rate in RATES {
             let faults = (rate > 0.0).then(|| FaultPlan {
@@ -118,12 +111,9 @@ fn failover(args: &ExpArgs, cfg: &HarnessConfig, template: &FaultPlan) -> Vec<Fa
     cfg.gpus = cfg.gpus.max(2);
     let killed = cfg.gpus - 1;
     let mut rows = Vec::new();
-    for app in all_apps() {
+    for app in args.select(all_apps()) {
         let name = app.spec().name;
-        if !args.selected(name) {
-            continue;
-        }
-        let (clean, _) = run_with_faults(app.as_ref(), &cfg, args.bytes, args.seed, None);
+        let (clean, clean_ok) = run_with_faults(app.as_ref(), &cfg, args.bytes, args.seed, None);
         let plan = FaultPlan {
             rate: 0.0,
             sites: Vec::new(),
@@ -146,7 +136,7 @@ fn failover(args: &ExpArgs, cfg: &HarnessConfig, template: &FaultPlan) -> Vec<Fa
                 1.0
             },
             failed_over: r.metrics.get("fault.failed_over"),
-            verified,
+            verified: verified && clean_ok,
         });
     }
     rows
@@ -218,8 +208,7 @@ fn to_json(args: &ExpArgs, template: &FaultPlan, rows: &[SweepRow], fo: &[Failov
 
 fn main() {
     let args = ExpArgs::from_env();
-    let mut cfg = HarnessConfig::paper_scaled(args.bytes);
-    args.apply(&mut cfg);
+    let mut cfg = args.harness_config();
     // The sweep controls rate and device failure itself; a user-supplied
     // --faults spec contributes the template (seed, retries, backoff, sites).
     let template = args.faults.clone().unwrap_or(FaultPlan {

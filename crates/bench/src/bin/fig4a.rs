@@ -1,13 +1,13 @@
 //! Fig. 4(a): speedup of every implementation over the serial CPU
 //! implementation, per application.
 
-use bk_apps::{run_all, HarnessConfig, Implementation};
+use bk_apps::{run_all, Implementation};
+use bk_bench::figures::{Fig4a, Headline};
 use bk_bench::{all_apps, args::ExpArgs, expectations::headline, render, short_name};
 
 fn main() {
     let args = ExpArgs::from_env();
-    let mut cfg = HarnessConfig::paper_scaled(args.bytes);
-    args.apply(&mut cfg);
+    let cfg = args.harness_config();
 
     render::header("Fig. 4(a) — speedup over the serial CPU implementation");
     println!(
@@ -15,58 +15,39 @@ fn main() {
         "app", "cpu-mt", "gpu-1buf", "gpu-2buf", "bigkernel", "(serial s)"
     );
 
-    let mut bk_vs_db = Vec::new();
-    let mut bk_vs_sb = Vec::new();
-    let mut bk_vs_mt = Vec::new();
-
-    for app in all_apps() {
+    let mut rows = Vec::new();
+    for app in args.select(all_apps()) {
         let name = app.spec().name;
-        if !args.selected(name) {
-            continue;
-        }
-        let results = run_all(
+        let runs = run_all(
             app.as_ref(),
             args.bytes,
             args.seed,
             &cfg,
             &Implementation::FIG4A,
         );
-        let serial = results[0].1.total;
-        let s = |i: usize| serial.ratio(results[i].1.total);
+        let row = Fig4a::new(&runs);
+        let [mt, sb, db, bk] = row.speedup.map(render::speedup);
         println!(
-            "{:<9} {:>10} {:>10} {:>10} {:>10} {:>10.4}",
+            "{:<9} {mt:>10} {sb:>10} {db:>10} {bk:>10} {:>10.4}",
             short_name(name),
-            render::speedup(s(1)),
-            render::speedup(s(2)),
-            render::speedup(s(3)),
-            render::speedup(s(4)),
-            serial.secs(),
+            row.serial.secs(),
         );
-        bk_vs_db.push(results[3].1.total.ratio(results[4].1.total));
-        bk_vs_sb.push(results[2].1.total.ratio(results[4].1.total));
-        bk_vs_mt.push(results[1].1.total.ratio(results[4].1.total));
+        rows.push(row);
     }
 
     render::header("headline comparison (measured geomean vs paper average)");
-    println!(
-        "bigkernel vs double-buffer : {:>6} (paper avg {:.1}x, max {:.1}x; measured max {:.2}x)",
-        render::speedup(render::geomean(&bk_vs_db)),
-        headline::BK_VS_DB_AVG,
-        headline::BK_VS_DB_MAX,
-        bk_vs_db.iter().copied().fold(0.0, f64::max),
-    );
-    println!(
-        "bigkernel vs single-buffer : {:>6} (paper avg {:.1}x, max {:.1}x; measured max {:.2}x)",
-        render::speedup(render::geomean(&bk_vs_sb)),
-        headline::BK_VS_SB_AVG,
-        headline::BK_VS_SB_MAX,
-        bk_vs_sb.iter().copied().fold(0.0, f64::max),
-    );
-    println!(
-        "bigkernel vs cpu-multithr  : {:>6} (paper avg {:.1}x, max {:.1}x; measured max {:.2}x)",
-        render::speedup(render::geomean(&bk_vs_mt)),
-        headline::BK_VS_CPU_MT_AVG,
-        headline::BK_VS_CPU_MT_MAX,
-        bk_vs_mt.iter().copied().fold(0.0, f64::max),
-    );
+    let h = Headline::new(&rows);
+    let paper = [
+        (headline::BK_VS_DB_AVG, headline::BK_VS_DB_MAX),
+        (headline::BK_VS_SB_AVG, headline::BK_VS_SB_MAX),
+        (headline::BK_VS_CPU_MT_AVG, headline::BK_VS_CPU_MT_MAX),
+    ];
+    let labels = ["double-buffer ", "single-buffer ", "cpu-multithr  "];
+    for (k, ((avg, max), label)) in paper.into_iter().zip(labels).enumerate() {
+        println!(
+            "bigkernel vs {label}: {:>6} (paper avg {avg:.1}x, max {max:.1}x; measured max {:.2}x)",
+            render::speedup(h.geomean[k]),
+            h.max[k],
+        );
+    }
 }

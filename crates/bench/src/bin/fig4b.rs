@@ -1,13 +1,12 @@
 //! Fig. 4(b): computation / communication ratio of the single-buffer
 //! implementation.
 
-use bk_apps::{run_all, HarnessConfig, Implementation};
-use bk_bench::{all_apps, args::ExpArgs, expectations, render, short_name};
+use bk_apps::{run_all, Implementation};
+use bk_bench::{all_apps, args::ExpArgs, expectations, figures, render, short_name};
 
 fn main() {
     let args = ExpArgs::from_env();
-    let mut cfg = HarnessConfig::paper_scaled(args.bytes);
-    args.apply(&mut cfg);
+    let cfg = args.harness_config();
 
     render::header("Fig. 4(b) — comp/comm ratio in the single-buffer implementation");
     println!(
@@ -15,30 +14,16 @@ fn main() {
         "app", "comp", "comm"
     );
 
-    for app in all_apps() {
+    for app in args.select(all_apps()) {
         let name = app.spec().name;
-        if !args.selected(name) {
-            continue;
-        }
-        let results = run_all(
+        let runs = run_all(
             app.as_ref(),
             args.bytes,
             args.seed,
             &cfg,
             &[Implementation::GpuSingleBuffer],
         );
-        let r = &results[0].1;
-        let comp = r.stage_busy("compute");
-        let comm = r.stage_busy("stage-pin")
-            + r.stage_busy("transfer")
-            + r.stage_busy("wb-xfer")
-            + r.stage_busy("wb-apply");
-        let total = comp + comm;
-        let comp_frac = if total.is_zero() {
-            0.0
-        } else {
-            comp.ratio(total)
-        };
+        let comp_frac = figures::compute_share(&runs[0].1);
         println!(
             "{:<9} {:>5.0}% {:>5.0}%   |{}|  ({})",
             short_name(name),

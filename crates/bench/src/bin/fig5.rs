@@ -2,14 +2,12 @@
 //! (i) overlapping computation and communication, (ii) reducing the data
 //! transfer volume, and (iii) laying out data for coalesced accesses.
 
-use bk_apps::{run_all, HarnessConfig, Implementation};
-use bk_baselines::BigKernelVariant;
-use bk_bench::{all_apps, args::ExpArgs, render, short_name};
+use bk_apps::run_all;
+use bk_bench::{all_apps, args::ExpArgs, figures, render, short_name};
 
 fn main() {
     let args = ExpArgs::from_env();
-    let mut cfg = HarnessConfig::paper_scaled(args.bytes);
-    args.apply(&mut cfg);
+    let cfg = args.harness_config();
 
     render::header("Fig. 5 — incremental benefit of each BigKernel feature");
     println!(
@@ -17,27 +15,13 @@ fn main() {
         "app", "+overlap", "+volume", "+coalesce"
     );
 
-    let imps = [
-        Implementation::GpuSingleBuffer,
-        Implementation::Variant(BigKernelVariant::OverlapOnly),
-        Implementation::Variant(BigKernelVariant::VolumeReduction),
-        Implementation::Variant(BigKernelVariant::Full),
-    ];
-
-    for app in all_apps() {
+    for app in args.select(all_apps()) {
         let name = app.spec().name;
-        if !args.selected(name) {
-            continue;
-        }
-        let results = run_all(app.as_ref(), args.bytes, args.seed, &cfg, &imps);
-        let single = results[0].1.total;
-        let s = |i: usize| single.ratio(results[i].1.total);
+        let runs = run_all(app.as_ref(), args.bytes, args.seed, &cfg, &figures::FIG5);
+        let [overlap, volume, coalesce] = figures::fig5(&runs).map(render::speedup);
         println!(
-            "{:<9} {:>9} {:>9} {:>9}",
+            "{:<9} {overlap:>9} {volume:>9} {coalesce:>9}",
             short_name(name),
-            render::speedup(s(1)),
-            render::speedup(s(2)),
-            render::speedup(s(3)),
         );
     }
     println!();

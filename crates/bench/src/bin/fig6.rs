@@ -1,12 +1,11 @@
 //! Fig. 6: relative completion time of each BigKernel pipeline stage.
 
-use bk_apps::{run_all, HarnessConfig, Implementation};
+use bk_apps::{run_all, Implementation};
 use bk_bench::{all_apps, args::ExpArgs, render, short_name};
 
 fn main() {
     let args = ExpArgs::from_env();
-    let mut cfg = HarnessConfig::paper_scaled(args.bytes);
-    args.apply(&mut cfg);
+    let cfg = args.harness_config();
 
     render::header("Fig. 6 — relative completion time of each BigKernel stage");
     println!(
@@ -14,11 +13,8 @@ fn main() {
         "app", "addr-gen", "assemble", "transfer", "compute", "wb-xfer", "wb-apply", "(total s)"
     );
 
-    for app in all_apps() {
+    for app in args.select(all_apps()) {
         let name = app.spec().name;
-        if !args.selected(name) {
-            continue;
-        }
         let results = run_all(
             app.as_ref(),
             args.bytes,

@@ -20,8 +20,8 @@
 //! ranked `what_if` predictions from an untimed capture run, and a
 //! `provenance` block recording how the file was produced.
 
-use bk_apps::{run_implementation, HarnessConfig, Implementation};
-use bk_bench::{all_apps, args::ExpArgs, short_name};
+use bk_apps::{run_checked, run_implementation, BenchApp, HarnessConfig, Implementation};
+use bk_bench::{all_apps, args::ExpArgs, checked_bigkernel, short_name};
 use bk_simcore::SimTime;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -376,7 +376,7 @@ fn to_json(
 /// verified against the pure-Rust reference; a verification failure exits
 /// non-zero immediately.
 fn fusion_sweep(args: &ExpArgs, cfg: &HarnessConfig) -> Vec<FusionRow> {
-    let fusion_apps: Vec<Box<dyn bk_apps::BenchApp + Sync>> = vec![
+    let fusion_apps: Vec<Box<dyn BenchApp + Sync>> = vec![
         Box::new(bk_apps::kmeans::KMeans::default()),
         Box::new(bk_apps::affinity::Affinity::default()),
         Box::new(bk_apps::filtercount::FilterCount),
@@ -387,16 +387,12 @@ fn fusion_sweep(args: &ExpArgs, cfg: &HarnessConfig) -> Vec<FusionRow> {
         let run = |fuse: bool| {
             let mut cfg = cfg.clone();
             cfg.fuse = fuse;
-            let mut machine = (cfg.machine)();
-            machine.replicate_gpus(cfg.gpus);
-            machine.scale_fixed_costs(cfg.fixed_cost_scale);
-            let instance = app.instantiate(&mut machine, args.bytes, args.seed);
-            let r = run_implementation(&mut machine, &instance, Implementation::BigKernel, &cfg);
-            if let Err(e) = (instance.verify)(&machine) {
+            let run = checked_bigkernel(app.as_ref(), args.bytes, args.seed, &cfg);
+            if let Err(e) = run.verified {
                 eprintln!("fusion sweep: {name} failed verification (fuse={fuse}): {e}");
                 std::process::exit(1);
             }
-            r
+            run.result
         };
         let un = run(false);
         let fu = run(true);
@@ -426,11 +422,12 @@ fn scaling_sweep(args: &ExpArgs, cfg: &HarnessConfig) -> Vec<ScalingRow> {
         }
         let mut base: Option<SimTime> = None;
         for gpus in [1usize, 2, 4] {
-            let mut machine = (cfg.machine)();
-            machine.replicate_gpus(gpus);
-            machine.scale_fixed_costs(cfg.fixed_cost_scale);
-            let instance = app.instantiate(&mut machine, args.bytes, args.seed);
-            let r = run_implementation(&mut machine, &instance, Implementation::BigKernel, cfg);
+            let cfg = HarnessConfig {
+                gpus,
+                ..cfg.clone()
+            };
+            let (r, _) = checked_bigkernel(app.as_ref(), args.bytes, args.seed, &cfg)
+                .expect_verified("bigkernel");
             let b = *base.get_or_insert(r.total);
             out.push(ScalingRow {
                 app: short_name(name),
@@ -445,29 +442,24 @@ fn scaling_sweep(args: &ExpArgs, cfg: &HarnessConfig) -> Vec<ScalingRow> {
 
 fn main() {
     let args = ExpArgs::from_env();
-    let mut cfg = HarnessConfig::paper_scaled(args.bytes);
-    args.apply(&mut cfg);
+    let cfg = args.harness_config();
     const ITERS: usize = 3;
 
     let mut rows: Vec<Row> = Vec::new();
-    for app in all_apps() {
+    for app in args.select(all_apps()) {
         let name = app.spec().name;
-        if !args.selected(name) {
-            continue;
-        }
         // Best of ITERS runs; a fresh machine + instance per run so every
         // measurement exercises the same cold-start pipeline (generation
         // time is excluded from the timed region).
         let mut best = f64::INFINITY;
         let mut result = None;
         for _ in 0..ITERS {
-            let mut machine = (cfg.machine)();
-            machine.replicate_gpus(cfg.gpus);
-            machine.scale_fixed_costs(cfg.fixed_cost_scale);
-            let instance = app.instantiate(&mut machine, args.bytes, args.seed);
-            let t0 = Instant::now();
-            let r = run_implementation(&mut machine, &instance, Implementation::BigKernel, &cfg);
-            let dt = t0.elapsed().as_secs_f64();
+            let ((r, dt), _) = run_checked(app.as_ref(), args.bytes, args.seed, &cfg, |m, i| {
+                let t0 = Instant::now();
+                let r = run_implementation(m, i, Implementation::BigKernel, &cfg);
+                (r, t0.elapsed().as_secs_f64())
+            })
+            .expect_verified("bigkernel");
             if dt < best {
                 best = dt;
                 result = Some(r);
@@ -478,13 +470,12 @@ fn main() {
         // critical-path / what-if sections — outside the timed region so
         // the capture allocations never skew the wall numbers.
         let (crit, what_if) = {
-            let mut machine = (cfg.machine)();
-            machine.replicate_gpus(cfg.gpus);
-            machine.scale_fixed_costs(cfg.fixed_cost_scale);
-            let instance = app.instantiate(&mut machine, args.bytes, args.seed);
-            let guard = bk_obs::critpath::capture();
-            let _ = run_implementation(&mut machine, &instance, Implementation::BigKernel, &cfg);
-            let waves = guard.finish();
+            let (waves, _) = run_checked(app.as_ref(), args.bytes, args.seed, &cfg, |m, i| {
+                let guard = bk_obs::critpath::capture();
+                let _ = run_implementation(m, i, Implementation::BigKernel, &cfg);
+                guard.finish()
+            })
+            .expect_verified("bigkernel");
             let mut ranked = bk_runtime::whatif::rank(&waves, cfg.gpus, cfg.bigkernel.shard_policy);
             ranked.truncate(WHAT_IF_TOP);
             (bk_obs::analyze(&waves), ranked)

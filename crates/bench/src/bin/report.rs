@@ -1,11 +1,12 @@
 //! One-command reproduction: runs every table and figure and writes a
 //! single markdown report (default `results/REPORT.md`), with the paper's
-//! reported values inline for comparison. The heavy lifting reuses the same
-//! runners as the per-experiment binaries.
+//! reported values inline for comparison. Every run is verified, and every
+//! number comes from [`bk_bench::figures`], the derivations the per-figure
+//! binaries print.
 
-use bk_apps::{run_all, HarnessConfig, Implementation};
-use bk_baselines::BigKernelVariant;
-use bk_bench::{all_apps, args::ExpArgs, expectations, render, short_name};
+use bk_apps::{run_all, Implementation};
+use bk_bench::figures::{self, Fig4a, Headline, Table2};
+use bk_bench::{all_apps, args::ExpArgs, expectations::headline, short_name};
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -90,8 +91,7 @@ fn to_json(r: &JsonReport) -> String {
 
 fn main() {
     let args = ExpArgs::from_env();
-    let mut cfg = HarnessConfig::paper_scaled(args.bytes);
-    args.apply(&mut cfg);
+    let cfg = args.harness_config();
     let mut md = String::new();
     let _ = writeln!(md, "# BigKernel reproduction report\n");
     let _ = writeln!(
@@ -105,52 +105,32 @@ fn main() {
     let _ = writeln!(md, "## Fig. 4(a) — speedup over serial CPU\n");
     let _ = writeln!(md, "| app | cpu-mt | gpu-1buf | gpu-2buf | bigkernel |");
     let _ = writeln!(md, "|---|---|---|---|---|");
-    let mut bk_vs = (Vec::new(), Vec::new(), Vec::new());
+    let mut fig4a_rows = Vec::new();
     let mut fig6_rows = String::new();
     let mut fig4b_rows = String::new();
     let mut table1_rows = String::new();
     let mut json_apps: Vec<AppRecord> = Vec::new();
 
-    for app in all_apps() {
-        let name = app.spec().name;
-        if !args.selected(name) {
-            continue;
-        }
-        let results = run_all(
+    for app in args.select(all_apps()) {
+        let spec = app.spec();
+        let name = spec.name;
+        let runs = run_all(
             app.as_ref(),
             args.bytes,
             args.seed,
             &cfg,
             &Implementation::FIG4A,
         );
-        let serial = results[0].1.total;
-        let s = |i: usize| serial.ratio(results[i].1.total);
+        let row = Fig4a::new(&runs);
+        let [mt, sb, db, bk] = row.speedup;
         let _ = writeln!(
             md,
-            "| {} | {:.2}x | {:.2}x | {:.2}x | **{:.2}x** |",
+            "| {} | {mt:.2}x | {sb:.2}x | {db:.2}x | **{bk:.2}x** |",
             short_name(name),
-            s(1),
-            s(2),
-            s(3),
-            s(4)
         );
-        bk_vs.0.push(results[3].1.total.ratio(results[4].1.total));
-        bk_vs.1.push(results[2].1.total.ratio(results[4].1.total));
-        bk_vs.2.push(results[1].1.total.ratio(results[4].1.total));
 
         // Fig 4(b) from the single-buffer run.
-        let sb = &results[2].1;
-        let comp = sb.stage_busy("compute");
-        let comm = sb.stage_busy("stage-pin")
-            + sb.stage_busy("transfer")
-            + sb.stage_busy("wb-xfer")
-            + sb.stage_busy("wb-apply");
-        let total = comp + comm;
-        let frac = if total.is_zero() {
-            0.0
-        } else {
-            comp.ratio(total)
-        };
+        let frac = figures::compute_share(&runs[2].1);
         let _ = writeln!(
             fig4b_rows,
             "| {} | {:.0}% | {:.0}% |",
@@ -160,8 +140,8 @@ fn main() {
         );
 
         // Fig 6 + Table I from the BigKernel run.
-        let bk = &results[4].1;
-        let rel = bk.relative_stage_times();
+        let bk_run = &runs[4].1;
+        let rel = bk_run.relative_stage_times();
         let pct = |stage: &str| {
             rel.iter()
                 .find(|(n, _)| *n == stage)
@@ -177,34 +157,35 @@ fn main() {
             pct("transfer"),
             pct("compute"),
         );
-        let passes = if name.starts_with("MasterCard") { 2 } else { 1 };
-        let read_pct =
-            100.0 * bk.metrics.get("stream.bytes_read") as f64 / (args.bytes * passes) as f64;
-        let mod_pct = 100.0 * bk.metrics.get("stream.bytes_written") as f64 / args.bytes as f64;
+        let (read_pct, mod_pct) = figures::table1_pct(name, args.bytes, bk_run);
         json_apps.push(AppRecord {
             app: name.to_string(),
-            cpu_multithreaded: s(1),
-            gpu_single_buffer: s(2),
-            gpu_double_buffer: s(3),
-            bigkernel: s(4),
-            serial_seconds: serial.secs(),
+            cpu_multithreaded: mt,
+            gpu_single_buffer: sb,
+            gpu_double_buffer: db,
+            bigkernel: bk,
+            serial_seconds: row.serial.secs(),
             read_pct,
             modified_pct: mod_pct,
         });
-        let spec = app.spec();
         let _ = writeln!(
             table1_rows,
             "| {} | {} | {}% / {:.1}% | {}% / {:.1}% |",
             name, spec.record_type, spec.paper_read_pct, read_pct, spec.paper_modified_pct, mod_pct,
         );
+        fig4a_rows.push(row);
     }
+    let geomean = Headline::new(&fig4a_rows).geomean;
     let _ = writeln!(
         md,
-        "\nGeomeans: BK/double {:.2}x (paper 1.7x), BK/single {:.2}x (paper 2.6x), \
-         BK/cpu-mt {:.2}x (paper 3.0x)\n",
-        render::geomean(&bk_vs.0),
-        render::geomean(&bk_vs.1),
-        render::geomean(&bk_vs.2)
+        "\nGeomeans: BK/double {:.2}x (paper {:.1}x), BK/single {:.2}x (paper {:.1}x), \
+         BK/cpu-mt {:.2}x (paper {:.1}x)\n",
+        geomean[0],
+        headline::BK_VS_DB_AVG,
+        geomean[1],
+        headline::BK_VS_SB_AVG,
+        geomean[2],
+        headline::BK_VS_CPU_MT_AVG,
     );
 
     let _ = writeln!(md, "## Table I — mapped data (paper / measured)\n");
@@ -229,26 +210,14 @@ fn main() {
     );
     let _ = writeln!(md, "| app | +overlap | +volume | +coalesce |");
     let _ = writeln!(md, "|---|---|---|---|");
-    let imps = [
-        Implementation::GpuSingleBuffer,
-        Implementation::Variant(BigKernelVariant::OverlapOnly),
-        Implementation::Variant(BigKernelVariant::VolumeReduction),
-        Implementation::Variant(BigKernelVariant::Full),
-    ];
-    for app in all_apps() {
+    for app in args.select(all_apps()) {
         let name = app.spec().name;
-        if !args.selected(name) {
-            continue;
-        }
-        let r = run_all(app.as_ref(), args.bytes, args.seed, &cfg, &imps);
-        let base = r[0].1.total;
+        let runs = run_all(app.as_ref(), args.bytes, args.seed, &cfg, &figures::FIG5);
+        let [overlap, volume, coalesce] = figures::fig5(&runs);
         let _ = writeln!(
             md,
-            "| {} | {:.2}x | {:.2}x | {:.2}x |",
+            "| {} | {overlap:.2}x | {volume:.2}x | {coalesce:.2}x |",
             short_name(name),
-            base.ratio(r[1].1.total),
-            base.ratio(r[2].1.total),
-            base.ratio(r[3].1.total)
         );
     }
 
@@ -256,39 +225,10 @@ fn main() {
     let _ = writeln!(md, "\n## Table II — pattern recognition improvement\n");
     let _ = writeln!(md, "| app | paper | measured |");
     let _ = writeln!(md, "|---|---|---|");
-    let mut cfg_off = cfg.clone();
-    cfg_off.bigkernel.pattern_recognition = false;
-    for app in all_apps() {
-        let spec = app.spec();
-        if !args.selected(spec.name) {
-            continue;
-        }
-        let on = run_all(
-            app.as_ref(),
-            args.bytes,
-            args.seed,
-            &cfg,
-            &[Implementation::BigKernel],
-        );
-        let off = run_all(
-            app.as_ref(),
-            args.bytes,
-            args.seed,
-            &cfg_off,
-            &[Implementation::BigKernel],
-        );
-        let paper = expectations::table2_pct(spec.name)
-            .map(|p| format!("{p}%"))
-            .unwrap_or_else(|| "NA".into());
-        let ours = if spec.pattern_applicable {
-            format!(
-                "{:.0}%",
-                (off[0].1.total.ratio(on[0].1.total) - 1.0) * 100.0
-            )
-        } else {
-            "NA".into()
-        };
-        let _ = writeln!(md, "| {} | {} | {} |", spec.name, paper, ours);
+    for app in args.select(all_apps()) {
+        let name = app.spec().name;
+        let row = Table2::run(app.as_ref(), args.bytes, args.seed, &cfg);
+        let _ = writeln!(md, "| {} | {} | {} |", name, row.paper, row.ours);
     }
 
     let out_dir = Path::new("results");
@@ -300,9 +240,9 @@ fn main() {
     let json = JsonReport {
         bytes_per_app: args.bytes,
         seed: args.seed,
-        geomean_bk_vs_double: render::geomean(&bk_vs.0),
-        geomean_bk_vs_single: render::geomean(&bk_vs.1),
-        geomean_bk_vs_cpu_mt: render::geomean(&bk_vs.2),
+        geomean_bk_vs_double: geomean[0],
+        geomean_bk_vs_single: geomean[1],
+        geomean_bk_vs_cpu_mt: geomean[2],
         apps: json_apps,
     };
     let jpath = out_dir.join("report.json");

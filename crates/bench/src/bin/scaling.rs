@@ -11,7 +11,7 @@
 //! Assembly, Netflix): they keep every pipeline stage busy, so sharding has
 //! real work to spread. Use `--app` to override the selection.
 
-use bk_apps::{run_all, HarnessConfig, Implementation};
+use bk_apps::{run_all, Implementation};
 use bk_bench::{all_apps, args::ExpArgs, render, short_name};
 
 /// Streaming apps where multi-GPU sharding is interesting (EXPERIMENTS.md).
@@ -34,8 +34,7 @@ fn main() {
         }
         let mut single_gpu_time = None;
         for &gpus in &GPU_COUNTS {
-            let mut cfg = HarnessConfig::paper_scaled(args.bytes);
-            args.apply(&mut cfg);
+            let mut cfg = args.harness_config();
             cfg.gpus = gpus; // this binary owns the device-count axis
             let results = run_all(
                 app.as_ref(),

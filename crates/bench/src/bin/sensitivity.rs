@@ -9,7 +9,7 @@
 //! converge on the compute roofline. (This is also the quantitative side of
 //! the "UVM/faster links partly supersede this work" argument.)
 
-use bk_apps::{run_all, HarnessConfig, Implementation};
+use bk_apps::{run_all, Implementation};
 use bk_bench::{all_apps, args::ExpArgs, render, short_name};
 use bk_host::PcieLink;
 
@@ -30,15 +30,11 @@ fn main() {
     println!();
 
     let imps = [Implementation::GpuDoubleBuffer, Implementation::BigKernel];
-    for app in all_apps() {
+    for app in args.select(all_apps()) {
         let name = app.spec().name;
-        if !args.selected(name) {
-            continue;
-        }
         print!("{:<9}", short_name(name));
         for (_, link) in &links {
-            let mut cfg = HarnessConfig::paper_scaled(args.bytes);
-            args.apply(&mut cfg);
+            let mut cfg = args.harness_config();
             cfg.link = Some(link.clone());
             let r = run_all(app.as_ref(), args.bytes, args.seed, &cfg, &imps);
             let adv = r[0].1.total.ratio(r[1].1.total);

@@ -1,14 +1,13 @@
 //! Debug utility: absolute per-stage busy times for every implementation of
 //! one application (not a paper figure; used to understand shapes).
 
-use bk_apps::{run_all, HarnessConfig, Implementation};
+use bk_apps::{run_all, Implementation};
 use bk_baselines::BigKernelVariant;
 use bk_bench::{all_apps, args::ExpArgs, render, short_name};
 
 fn main() {
     let args = ExpArgs::from_env();
-    let mut cfg = HarnessConfig::paper_scaled(args.bytes);
-    args.apply(&mut cfg);
+    let cfg = args.harness_config();
     let imps = [
         Implementation::CpuSerial,
         Implementation::CpuMultithreaded,
@@ -19,11 +18,8 @@ fn main() {
         Implementation::BigKernel,
     ];
 
-    for app in all_apps() {
+    for app in args.select(all_apps()) {
         let name = app.spec().name;
-        if !args.selected(name) {
-            continue;
-        }
         render::header(&format!("{} — stage busy times", short_name(name)));
         let results = run_all(app.as_ref(), args.bytes, args.seed, &cfg, &imps);
         for (imp, r) in &results {

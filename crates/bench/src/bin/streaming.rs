@@ -23,10 +23,11 @@
 //! not exercising the tentpole), or if no drifting app triggered a
 //! re-detection. This doubles as the CI smoke check.
 
-use bk_apps::{drifting_apps, run_implementation, HarnessConfig, Implementation};
+use bk_apps::{drifting_apps, run_checked, run_implementation, run_streamed_checked};
+use bk_apps::{HarnessConfig, Implementation};
 use bk_bench::{args::ExpArgs, short_name};
-use bk_runtime::stream::{run_bigkernel_streamed, ReplaySource};
-use bk_runtime::{StreamConfig, StreamKernel, WindowPolicy};
+use bk_runtime::stream::ReplaySource;
+use bk_runtime::{StreamConfig, WindowPolicy};
 use bk_simcore::SimTime;
 use std::fmt::Write as _;
 
@@ -68,26 +69,10 @@ fn run_point(
     rate: f64,
     window_label: String,
 ) -> Row {
-    let mut machine = (cfg.machine)();
-    machine.replicate_gpus(cfg.gpus);
-    machine.scale_fixed_costs(cfg.fixed_cost_scale);
-    let instance = app.instantiate(&mut machine, bytes, seed);
-    let kernels: Vec<&dyn StreamKernel> = instance
-        .kernels
-        .iter()
-        .map(|k| k.as_ref() as &dyn StreamKernel)
-        .collect();
-    let source = ReplaySource::new(instance.streams[0].len(), rate);
-    let r = run_bigkernel_streamed(
-        &mut machine,
-        &kernels,
-        &instance.streams,
-        cfg.launch,
-        &cfg.bigkernel,
-        scfg,
-        &source,
-    );
-    let verified = (instance.verify)(&machine).is_ok();
+    let run = run_streamed_checked(app, bytes, seed, cfg, scfg, &|len| {
+        Box::new(ReplaySource::new(len, rate))
+    });
+    let (r, verified) = (run.result, run.verified.is_ok());
     Row {
         app: short_name(app.spec().name),
         window: window_label,
@@ -149,27 +134,22 @@ fn to_json(args: &ExpArgs, rows: &[Row]) -> String {
 
 fn main() {
     let args = ExpArgs::from_env();
-    let mut cfg = HarnessConfig::paper_scaled(args.bytes);
-    args.apply(&mut cfg);
+    let mut cfg = args.harness_config();
     // The stream-level persistent tuner takes the batch config's controller
     // settings (`--autotune on`); windows themselves never tune internally.
     let tune = cfg.bigkernel.autotune.take();
 
     let mut rows: Vec<Row> = Vec::new();
-    for app in drifting_apps() {
-        let name = app.spec().name;
-        if !args.selected(name) {
-            continue;
-        }
+    for app in args.select(drifting_apps()) {
+        let _name = app.spec().name;
 
         // Calibrate the source: one batch run measures the pipeline's
         // throughput; the stream then arrives RATE_FACTOR times faster.
-        let mut machine = (cfg.machine)();
-        machine.replicate_gpus(cfg.gpus);
-        machine.scale_fixed_costs(cfg.fixed_cost_scale);
-        let instance = app.instantiate(&mut machine, args.bytes, args.seed);
-        let batch = run_implementation(&mut machine, &instance, Implementation::BigKernel, &cfg);
-        let len = instance.streams[0].len();
+        let ((batch, len), _) = run_checked(app.as_ref(), args.bytes, args.seed, &cfg, |m, i| {
+            let batch = run_implementation(m, i, Implementation::BigKernel, &cfg);
+            (batch, i.streams[0].len())
+        })
+        .expect_verified("bigkernel");
         let rate = RATE_FACTOR * len as f64 / batch.total.secs().max(1e-12);
 
         // Window-shape axis: a fine and a coarse byte window plus an

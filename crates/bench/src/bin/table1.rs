@@ -2,13 +2,12 @@
 //! proportions *measured* from an instrumented BigKernel run on the
 //! synthetic datasets.
 
-use bk_apps::{run_all, HarnessConfig, Implementation};
-use bk_bench::{all_apps, args::ExpArgs, render};
+use bk_apps::{run_all, Implementation};
+use bk_bench::{all_apps, args::ExpArgs, figures, render};
 
 fn main() {
     let args = ExpArgs::from_env();
-    let mut cfg = HarnessConfig::paper_scaled(args.bytes);
-    args.apply(&mut cfg);
+    let cfg = args.harness_config();
 
     render::header("Table I — application mapped data");
     println!(
@@ -22,28 +21,16 @@ fn main() {
         "mod(ours)"
     );
 
-    for app in all_apps() {
+    for app in args.select(all_apps()) {
         let spec = app.spec();
-        if !args.selected(spec.name) {
-            continue;
-        }
-        let results = run_all(
+        let runs = run_all(
             app.as_ref(),
             args.bytes,
             args.seed,
             &cfg,
             &[Implementation::BigKernel],
         );
-        let c = &results[0].1.metrics;
-        // MasterCard Affinity scans the data once per pass; Table I reports
-        // the per-pass proportion, so normalize by pass count.
-        let passes = if spec.name.starts_with("MasterCard") {
-            2
-        } else {
-            1
-        };
-        let read_pct = 100.0 * c.get("stream.bytes_read") as f64 / (args.bytes * passes) as f64;
-        let mod_pct = 100.0 * c.get("stream.bytes_written") as f64 / args.bytes as f64;
+        let (read_pct, mod_pct) = figures::table1_pct(spec.name, args.bytes, &runs[0].1);
         println!(
             "{:<30} {:>9} {:>26} | {:>10}% {:>10.1}% | {:>10}% {:>10.1}%",
             spec.name,

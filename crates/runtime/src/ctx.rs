@@ -17,8 +17,8 @@
 //! The traced costs are identical either way — only the functional effect
 //! routing changes.
 //!
-//! `ComputeCtx` optionally verifies every stream access against the address
-//! stream recorded in stage 1 — the runtime cross-check that the
+//! In BigKernel's assembled mode `ComputeCtx` verifies every stream access
+//! against the address stream recorded in stage 1 — the runtime cross-check that the
 //! hand-written (or compiler-sliced) `addresses()` is exactly the access
 //! slice of `process()`. A mismatch panics with a precise diagnostic: in a
 //! real deployment that is a compiler bug, and in this reproduction it is
@@ -383,14 +383,13 @@ impl DevMemory for LoggedMem<'_, '_> {
 
 /// Which buffer a GPU-mode stream access resolves into.
 enum StreamMode<'a> {
-    /// Prefetch-buffer consumption with optional FIFO verification. The
-    /// cursors walk the recorded streams in FIFO order (accesses are
-    /// consumed strictly in emission order) and are advanced only inside
-    /// the verify branches — they replace a per-access `entry(k)` dispatch,
-    /// which for compressed streams cost a div/mod per element.
+    /// Prefetch-buffer consumption with FIFO verification. The cursors walk
+    /// the recorded streams in FIFO order (accesses are consumed strictly in
+    /// emission order), one step per access — they replace a per-access
+    /// `entry(k)` dispatch, which for compressed streams cost a div/mod per
+    /// element.
     Assembled {
         lane_addrs: &'a LaneAddrs,
-        verify: bool,
         read_cur: AddrStreamIter<'a>,
         write_cur: AddrStreamIter<'a>,
     },
@@ -400,7 +399,7 @@ enum StreamMode<'a> {
 
 /// Context for the computation half on the GPU (pipeline stage 4, and the
 /// kernel of the single/double-buffer baselines).
-pub struct ComputeCtx<'a, M: DevMemory = LiveMem<'a>> {
+pub struct ComputeCtx<'a, M: DevMemory> {
     mem: M,
     data_buf: DevBufId,
     /// GPU-side write-value buffer (BigKernel write path); `None` when the
@@ -435,65 +434,11 @@ pub struct ComputeCtx<'a, M: DevMemory = LiveMem<'a>> {
     pub aux_written_mask: u64,
 }
 
-impl<'a> ComputeCtx<'a, LiveMem<'a>> {
-    /// Context for BigKernel's compute stage against live memory: reads
-    /// resolve through `layout`, writes through `write_layout` into
-    /// `write_buf`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn assembled(
-        gmem: &'a mut GpuMemory,
-        data_buf: DevBufId,
-        write_buf: Option<DevBufId>,
-        layout: &'a ChunkLayout,
-        write_layout: Option<&'a ChunkLayout>,
-        lane_addrs: &'a LaneAddrs,
-        verify: bool,
-        lane: usize,
-        thread_id: u32,
-        num_threads: u32,
-        trace: &'a mut ThreadTrace,
-    ) -> Self {
-        Self::assembled_on(
-            LiveMem(gmem),
-            data_buf,
-            write_buf,
-            layout,
-            write_layout,
-            lane_addrs,
-            verify,
-            lane,
-            thread_id,
-            num_threads,
-            trace,
-        )
-    }
-
-    /// Context for staged-chunk execution against live memory (baselines and
-    /// the overlap-only variant).
-    pub fn staged(
-        gmem: &'a mut GpuMemory,
-        data_buf: DevBufId,
-        layout: &'a ChunkLayout,
-        lane: usize,
-        thread_id: u32,
-        num_threads: u32,
-        trace: &'a mut ThreadTrace,
-    ) -> Self {
-        Self::staged_on(
-            LiveMem(gmem),
-            data_buf,
-            layout,
-            lane,
-            thread_id,
-            num_threads,
-            trace,
-        )
-    }
-}
-
 impl<'a, M: DevMemory> ComputeCtx<'a, M> {
-    /// Generic form of [`ComputeCtx::assembled`] over any [`DevMemory`]
-    /// backend (the parallel pipeline passes a [`LoggedMem`]).
+    /// Context for BigKernel's compute stage against `mem` ([`LiveMem`], or
+    /// the [`LoggedMem`] of a concurrently simulated block): reads resolve
+    /// through `layout`, writes through `write_layout` into `write_buf`, and
+    /// every access is checked against the lane's recorded address stream.
     #[allow(clippy::too_many_arguments)]
     pub fn assembled_on(
         mem: M,
@@ -502,7 +447,6 @@ impl<'a, M: DevMemory> ComputeCtx<'a, M> {
         layout: &'a ChunkLayout,
         write_layout: Option<&'a ChunkLayout>,
         lane_addrs: &'a LaneAddrs,
-        verify: bool,
         lane: usize,
         thread_id: u32,
         num_threads: u32,
@@ -516,7 +460,6 @@ impl<'a, M: DevMemory> ComputeCtx<'a, M> {
             write_layout,
             mode: StreamMode::Assembled {
                 lane_addrs,
-                verify,
                 read_cur: lane_addrs.reads.iter(),
                 write_cur: lane_addrs.writes.iter(),
             },
@@ -536,9 +479,10 @@ impl<'a, M: DevMemory> ComputeCtx<'a, M> {
         }
     }
 
-    /// Generic form of [`ComputeCtx::staged`] over any [`DevMemory`]
-    /// backend: stream accesses resolve by offset inside the staged window;
-    /// writes modify the staged chunk in place.
+    /// Context for staged-chunk execution against `mem` (the buffered
+    /// baselines and the overlap-only variant): stream accesses resolve by
+    /// offset inside the staged window; writes modify the staged chunk in
+    /// place.
     pub fn staged_on(
         mem: M,
         data_buf: DevBufId,
@@ -607,21 +551,19 @@ impl<'a, M: DevMemory> ComputeCtx<'a, M> {
     fn resolve_read(&mut self, s: StreamId, offset: u64, width: u32) -> u64 {
         match (&mut self.mode, self.layout) {
             (StreamMode::Staged, layout) => {
-                // Staged chunks hold the primary stream only; a traditional
-                // buffered implementation would need a staging buffer per
-                // mapped array. Multi-stream kernels run under BigKernel
-                // (whose assembly gathers from any stream) or on the CPU.
+                // The staged window holds the primary stream; `stream_read`
+                // has already routed secondary streams to their aux buffers.
                 assert_eq!(
                     s,
                     StreamId(0),
-                    "staged execution supports only the primary stream;                      run multi-stream kernels under BigKernel or the CPU"
+                    "the staged window holds only the primary stream; secondary streams \
+                     resolve through the aux table (ComputeCtx::set_aux)"
                 );
                 layout.staged_pos(self.lane, offset)
             }
             (
                 StreamMode::Assembled {
                     lane_addrs,
-                    verify,
                     read_cur,
                     ..
                 },
@@ -630,14 +572,15 @@ impl<'a, M: DevMemory> ComputeCtx<'a, M> {
                 let k = self.read_k;
                 assert!(
                     k < lane_addrs.reads.len(),
-                    "lane {} performed stream read #{k} but its address slice emitted only {}                      reads — the kernel scanned past its emitted window (data-dependent scan                      exceeding halo_bytes? run with BigKernelConfig::overlap_only, the paper's                      fetch-all fallback)",
+                    "lane {} performed stream read #{k} but its address slice emitted only {} \
+                     reads — the kernel scanned past its emitted window (data-dependent scan \
+                     exceeding halo_bytes? run with BigKernelConfig::overlap_only, the paper's \
+                     fetch-all fallback)",
                     self.lane,
                     lane_addrs.reads.len()
                 );
-                if *verify {
-                    let expected = read_cur.next().expect("read cursor in step with read_k");
-                    verify_entry("read", expected, s, offset, width, self.lane, k);
-                }
+                let expected = read_cur.next().expect("read cursor in step with read_k");
+                verify_entry("read", expected, s, offset, width, self.lane, k);
                 let warp = self.lane / bk_gpu::WARP_SIZE;
                 let (pos, _slot_w) = warps[warp].slot(self.lane % bk_gpu::WARP_SIZE, k);
                 pos
@@ -645,7 +588,6 @@ impl<'a, M: DevMemory> ComputeCtx<'a, M> {
             (
                 StreamMode::Assembled {
                     lane_addrs,
-                    verify,
                     read_cur,
                     ..
                 },
@@ -658,10 +600,8 @@ impl<'a, M: DevMemory> ComputeCtx<'a, M> {
                     self.lane,
                     lane_addrs.reads.len()
                 );
-                if *verify {
-                    let expected = read_cur.next().expect("read cursor in step with read_k");
-                    verify_entry("read", expected, s, offset, width, self.lane, k);
-                }
+                let expected = read_cur.next().expect("read cursor in step with read_k");
+                verify_entry("read", expected, s, offset, width, self.lane, k);
                 let pos = lane_base[self.lane] + self.perlane_read_cursor;
                 self.perlane_read_cursor += width as u64;
                 pos
@@ -759,7 +699,7 @@ impl<M: DevMemory> KernelCtx for ComputeCtx<'_, M> {
                 assert_eq!(
                     s,
                     StreamId(0),
-                    "staged execution supports only the primary stream"
+                    "the staged window holds only the primary stream"
                 );
                 let pos = self.layout.staged_pos(self.lane, offset);
                 self.trace.record(
@@ -770,17 +710,10 @@ impl<M: DevMemory> KernelCtx for ComputeCtx<'_, M> {
                 );
                 self.mem.stream_store(self.data_buf, pos, width, value);
             }
-            (
-                StreamMode::Assembled {
-                    verify, write_cur, ..
-                },
-                Some(wl),
-            ) => {
+            (StreamMode::Assembled { write_cur, .. }, Some(wl)) => {
                 let k = self.write_k;
-                if *verify {
-                    let expected = write_cur.next().expect("write cursor in step with write_k");
-                    verify_entry("write", expected, s, offset, width, self.lane, k);
-                }
+                let expected = write_cur.next().expect("write cursor in step with write_k");
+                verify_entry("write", expected, s, offset, width, self.lane, k);
                 let wb = self.write_buf.expect("write layout implies a write buffer");
                 let pos = match wl {
                     ChunkLayout::Interleaved { warps, .. } => {
@@ -955,14 +888,13 @@ mod tests {
         let (buf, layout, lane) =
             interleaved_single_lane_setup(&mut m, &[(100, 11), (108, 22), (200, 33)]);
         let mut trace = ThreadTrace::default();
-        let mut ctx = ComputeCtx::assembled(
-            &mut m.gmem,
+        let mut ctx = ComputeCtx::assembled_on(
+            LiveMem(&mut m.gmem),
             buf,
             None,
             &layout,
             None,
             &lane,
-            true,
             0,
             0,
             1,
@@ -981,14 +913,13 @@ mod tests {
         let mut m = Machine::test_platform();
         let (buf, layout, lane) = interleaved_single_lane_setup(&mut m, &[(100, 11)]);
         let mut trace = ThreadTrace::default();
-        let mut ctx = ComputeCtx::assembled(
-            &mut m.gmem,
+        let mut ctx = ComputeCtx::assembled_on(
+            LiveMem(&mut m.gmem),
             buf,
             None,
             &layout,
             None,
             &lane,
-            true,
             0,
             0,
             1,
@@ -1004,7 +935,8 @@ mod tests {
         let buf = m.gmem.alloc(layout.total_len());
         m.gmem.write_u64(buf, 8, 777); // stream offset 1008
         let mut trace = ThreadTrace::default();
-        let mut ctx = ComputeCtx::staged(&mut m.gmem, buf, &layout, 1, 5, 8, &mut trace);
+        let mut ctx =
+            ComputeCtx::staged_on(LiveMem(&mut m.gmem), buf, &layout, 1, 5, 8, &mut trace);
         assert_eq!(ctx.stream_read(StreamId(0), 1008, 8), 777);
         ctx.stream_write(StreamId(0), 1016, 4, 42);
         assert_eq!(ctx.thread_id(), 5);
@@ -1024,7 +956,8 @@ mod tests {
         let aux = [(StreamId(1), aux_buf)];
         let mut trace = ThreadTrace::default();
         let mut ctx =
-            ComputeCtx::staged(&mut m.gmem, data, &layout, 0, 0, 1, &mut trace).set_aux(&aux);
+            ComputeCtx::staged_on(LiveMem(&mut m.gmem), data, &layout, 0, 0, 1, &mut trace)
+                .set_aux(&aux);
         assert_eq!(ctx.stream_read(StreamId(1), 40, 8), 99);
         ctx.stream_write(StreamId(1), 48, 8, 7);
         ctx.stream_write(StreamId(0), 8, 4, 1);
@@ -1042,7 +975,8 @@ mod tests {
         let layout = ChunkLayout::build_staged_window(0..64, 0, 64, 1);
         let data = m.gmem.alloc(64);
         let mut trace = ThreadTrace::default();
-        let mut ctx = ComputeCtx::staged(&mut m.gmem, data, &layout, 0, 0, 1, &mut trace);
+        let mut ctx =
+            ComputeCtx::staged_on(LiveMem(&mut m.gmem), data, &layout, 0, 0, 1, &mut trace);
         let _ = ctx.stream_read(StreamId(3), 0, 8);
     }
 
@@ -1053,7 +987,8 @@ mod tests {
         let data = m.gmem.alloc(64);
         let table = m.gmem.alloc(64);
         let mut trace = ThreadTrace::default();
-        let mut ctx = ComputeCtx::staged(&mut m.gmem, data, &layout, 0, 0, 1, &mut trace);
+        let mut ctx =
+            ComputeCtx::staged_on(LiveMem(&mut m.gmem), data, &layout, 0, 0, 1, &mut trace);
         ctx.dev_write(table, 0, 8, 5);
         assert_eq!(ctx.dev_read(table, 0, 8), 5);
         assert_eq!(ctx.dev_atomic_add_u32(table, 8, 3), 0);
@@ -1082,14 +1017,13 @@ mod tests {
         let rl = ChunkLayout::build_interleaved(&[&reads]);
         let lane = LaneAddrs { reads, writes };
         let mut trace = ThreadTrace::default();
-        let mut ctx = ComputeCtx::assembled(
-            &mut m.gmem,
+        let mut ctx = ComputeCtx::assembled_on(
+            LiveMem(&mut m.gmem),
             data,
             Some(wbuf),
             &rl,
             Some(&wl),
             &lane,
-            true,
             0,
             0,
             1,
@@ -1110,14 +1044,13 @@ mod tests {
         let mut m = Machine::test_platform();
         let (buf, layout, lane) = interleaved_single_lane_setup(&mut m, &[(0, 1)]);
         let mut trace = ThreadTrace::default();
-        let mut ctx = ComputeCtx::assembled(
-            &mut m.gmem,
+        let mut ctx = ComputeCtx::assembled_on(
+            LiveMem(&mut m.gmem),
             buf,
             None,
             &layout,
             None,
             &lane,
-            true,
             0,
             0,
             1,
@@ -1158,7 +1091,8 @@ mod tests {
                     bk_gpu::ReplayOutcome::Committed
                 );
             } else {
-                let mut ctx = ComputeCtx::staged(&mut m.gmem, data, &layout, 0, 0, 1, &mut trace);
+                let mut ctx =
+                    ComputeCtx::staged_on(LiveMem(&mut m.gmem), data, &layout, 0, 0, 1, &mut trace);
                 body(&mut ctx);
             }
             (

@@ -660,9 +660,9 @@ fn compute<M: DevMemory>(
     job: &ChunkJob<'_>,
     cell: &mut WaveCell<'_>,
 ) -> BlockComputed {
-    let (verify, aux) = match job.mode {
-        ChunkMode::Assembled { cfg, .. } => (cfg.verify_reads, &[][..]),
-        ChunkMode::Staged { aux } => (false, aux),
+    let aux = match job.mode {
+        ChunkMode::Assembled { .. } => &[][..],
+        ChunkMode::Staged { aux } => aux,
     };
     let pure = cell.pure.as_ref().expect("pure phase ran");
     let data_buf = cell.data_buf.expect("stage_in ran");
@@ -693,7 +693,6 @@ fn compute<M: DevMemory>(
                 &p.out.layout,
                 p.out.write_layout.as_ref(),
                 &p.lane_addrs[lane],
-                verify,
                 lane,
                 tid,
                 threads,

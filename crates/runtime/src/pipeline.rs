@@ -2021,8 +2021,10 @@ mod segmented_pipeline_tests {
             chunk_input_bytes: 512 * 1024,
             ..Default::default()
         };
+        // Raw address streams: without §IV.A recognition neither the
+        // whole-stream nor the piecewise detector runs.
         let cfg_off = BigKernelConfig {
-            segmented_patterns: false,
+            pattern_recognition: false,
             ..cfg_on.clone()
         };
 

@@ -370,7 +370,7 @@ fn commit_side(
             // piecewise compression; pick the smaller. The cap makes the
             // segmented scan return only a strictly smaller stream, and stop
             // as soon as it cannot produce one.
-            if cfg.segmented_patterns && p.period() > 16 {
+            if p.period() > 16 {
                 det.materialize(buf);
                 if let Some(seg) = detect_segmented(buf, MAX_PERIOD, p.encoded_bytes()) {
                     pool.give_pattern(p);
@@ -380,10 +380,8 @@ fn commit_side(
             return (AddrStream::Pattern(p), Compression::Pattern);
         }
         // No whole-stream pattern: the buffer holds the complete raw stream.
-        if cfg.segmented_patterns {
-            if let Some(s) = detect_segmented(buf, MAX_PERIOD, u64::MAX) {
-                return (AddrStream::Segmented(s), Compression::Segmented);
-            }
+        if let Some(s) = detect_segmented(buf, MAX_PERIOD, u64::MAX) {
+            return (AddrStream::Segmented(s), Compression::Segmented);
         }
         if !buf.is_empty() {
             let mut v = pool.take_entries();
