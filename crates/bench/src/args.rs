@@ -312,10 +312,12 @@ impl ExpArgs {
     }
 
     /// The paper-platform config scaled to `--bytes`, with every flag
-    /// applied ([`apply`](Self::apply)).
+    /// applied ([`apply_threads`](Self::apply_threads) and
+    /// [`apply_platform`](Self::apply_platform)).
     pub fn harness_config(&self) -> bk_apps::HarnessConfig {
         let mut cfg = bk_apps::HarnessConfig::paper_scaled(self.bytes);
-        self.apply(&mut cfg);
+        self.apply_threads(&mut cfg);
+        self.apply_platform(&mut cfg);
         cfg
     }
 
@@ -376,13 +378,6 @@ impl ExpArgs {
         if let Some(on) = self.fuse {
             cfg.fuse = on;
         }
-    }
-
-    /// `apply_threads` + `apply_platform` in one call — what every
-    /// experiment binary wants right after building its config.
-    pub fn apply(&self, cfg: &mut bk_apps::HarnessConfig) {
-        self.apply_threads(cfg);
-        self.apply_platform(cfg);
     }
 
     /// Every non-default flag in command-line spelling, space-separated
@@ -578,7 +573,7 @@ mod tests {
         assert_eq!(a.gpus, Some(4));
         let mut cfg = bk_apps::HarnessConfig::test_small();
         assert_eq!(cfg.gpus, 1);
-        a.apply(&mut cfg);
+        a.apply_platform(&mut cfg);
         assert_eq!(cfg.gpus, 4);
         assert!(parse(&["--gpus", "0"]).is_err());
         assert!(parse(&["--gpus"]).is_err());

@@ -42,10 +42,10 @@ fn main() {
         (headline::BK_VS_SB_AVG, headline::BK_VS_SB_MAX),
         (headline::BK_VS_CPU_MT_AVG, headline::BK_VS_CPU_MT_MAX),
     ];
-    let labels = ["double-buffer ", "single-buffer ", "cpu-multithr  "];
+    let labels = ["double-buffer", "single-buffer", "cpu-multithr"];
     for (k, ((avg, max), label)) in paper.into_iter().zip(labels).enumerate() {
         println!(
-            "bigkernel vs {label}: {:>6} (paper avg {avg:.1}x, max {max:.1}x; measured max {:.2}x)",
+            "bigkernel vs {label:<14}: {:>6} (paper avg {avg:.1}x, max {max:.1}x; measured max {:.2}x)",
             render::speedup(h.geomean[k]),
             h.max[k],
         );

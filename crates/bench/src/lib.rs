@@ -56,8 +56,8 @@ pub fn all_apps() -> Vec<Box<dyn BenchApp + Sync>> {
     ]
 }
 
-/// One BigKernel run of `app` (`bytes` of input from `seed`) on the machine
-/// `cfg` describes, with its outputs verified.
+/// One BigKernel run of `app` (`bytes` of input from `seed`) through
+/// [`run_checked`]; the caller judges [`Checked::verified`].
 pub fn checked_bigkernel(
     app: &dyn BenchApp,
     bytes: u64,

@@ -18,9 +18,9 @@
 //! routing changes.
 //!
 //! In BigKernel's assembled mode `ComputeCtx` verifies every stream access
-//! against the address stream recorded in stage 1 — the runtime cross-check that the
-//! hand-written (or compiler-sliced) `addresses()` is exactly the access
-//! slice of `process()`. A mismatch panics with a precise diagnostic: in a
+//! against the address stream recorded in stage 1 — the runtime cross-check
+//! that the hand-written (or compiler-sliced) `addresses()` is exactly the
+//! access slice of `process()`. A mismatch panics with a precise diagnostic: in a
 //! real deployment that is a compiler bug, and in this reproduction it is
 //! how the test suite proves the transformation's correctness invariant.
 
